@@ -13,9 +13,9 @@ suitable for CI pipelines the way Jepsen tests are.
 Real observations work too: ``--in history.jsonl`` checks a JSON-lines
 history captured from an actual system instead of generating one (``--in -``
 reads stdin), and ``--dump-history out.jsonl`` saves whatever was checked
-for replay.  ``--shards N`` fans the per-key dependency inference across N
-worker processes (identical verdicts; pays off in proportion to available
-cores).
+for replay.  Exit codes: 0 = valid, 1 = anomaly found, 2 = usage or input
+error (bad flags, an unreadable or malformed history, an impossible
+generator configuration).
 
 ``--follow`` switches to the streaming incremental checker: operations are
 consumed in chunks of ``--chunk`` (from ``--in``/stdin, or from the
@@ -42,6 +42,7 @@ from typing import List, Optional
 from .core import Profile, StreamingChecker, check
 from .core.consistency import ALL_MODELS, SERIALIZABLE
 from .db import INJECTORS, Isolation, Windowed
+from .errors import ReproError
 from .generator import RunConfig, WorkloadConfig, run_workload
 from .history import dump_history, iter_op_chunks, load_history
 
@@ -101,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-stage timings (analysis, graph freeze, each SCC "
         "mask family, explanation rendering) and SCC run counters",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition per-key dependency inference across N worker "
-        "processes (1 = inline; results are identical either way)",
     )
     parser.add_argument(
         "--in",
@@ -631,20 +624,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.follow and args.shards != 1:
-        parser.error("--shards is not supported with --follow "
-                     "(streaming analysis runs inline)")
     if args.chunk <= 0:
         parser.error("--chunk must be positive")
     if args.json and not (args.follow or args.connect):
         parser.error("--json requires --follow or --connect")
-    if args.connect:
-        if args.shards != 1:
-            parser.error("--shards is not supported with --connect "
-                         "(the daemon analyzes inline)")
-        if args.profile:
-            parser.error("--profile is not supported with --connect "
-                         "(profiles are collected in the local process)")
+    if args.fault_window is not None and args.fault_window <= 0:
+        parser.error("--fault-window must be positive")
+    if args.connect and args.profile:
+        parser.error(
+            "--profile is not supported with --connect "
+            "(profiles are collected in the local process)"
+        )
 
     fault_factory = None
     if args.fault is not None:
@@ -659,26 +649,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.connect:
         return _connect(args, fault_factory)
     profile = Profile() if args.profile else None
-    if args.follow:
-        return _follow(args, fault_factory, profile)
-
-    if args.in_path is not None:
-        if args.in_path == "-":
-            history = load_history(sys.stdin)
+    try:
+        if args.follow:
+            return _follow(args, fault_factory, profile)
+        if args.in_path is not None:
+            if args.in_path == "-":
+                history = load_history(sys.stdin)
+            else:
+                history = load_history(args.in_path)
         else:
-            history = load_history(args.in_path)
-    else:
-        history = _generate(args, fault_factory)
-    if args.dump_history is not None:
-        dump_history(history, args.dump_history)
-    result = check(
-        history,
-        workload=args.workload,
-        consistency_model=args.model,
-        timestamp_edges=args.timestamps,
-        shards=args.shards,
-        profile=profile,
-    )
+            history = _generate(args, fault_factory)
+        if args.dump_history is not None:
+            dump_history(history, args.dump_history)
+        result = check(
+            history,
+            workload=args.workload,
+            consistency_model=args.model,
+            timestamp_edges=args.timestamps,
+            profile=profile,
+        )
+    except (ReproError, OSError) as exc:
+        # Exit 1 means "anomaly found"; bad input must not look like one.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return _report(result, args, profile)
 
 

@@ -34,7 +34,7 @@ class Evidence(NamedTuple):
     from a third party's read).
 
     A ``NamedTuple`` rather than a dataclass: analyses carry one record per
-    value edge, and sharded analysis ships them between processes, so cheap
+    value edge, and durable service checkpoints pickle them, so cheap
     construction and fast pickling matter.
     """
 

@@ -135,17 +135,14 @@ def analyze(
     workload: str = "list-append",
     process_edges: bool = True,
     realtime_edges: bool = True,
-    shards: int = 1,
     profile: Optional[Profile] = None,
     **options,
 ) -> Analysis:
     """Run dependency inference only (no cycle search, no verdict).
 
-    ``shards`` fans the per-key analysis across a process pool (``1`` =
-    inline, identical results either way); ``profile`` collects the
-    analyzer's per-stage timings.  Both are forwarded only when set, so
-    analyzers registered via :func:`register_analyzer` need not accept
-    them.
+    ``profile`` collects the analyzer's per-stage timings.  It is
+    forwarded only when set, so analyzers registered via
+    :func:`register_analyzer` need not accept it.
     """
     try:
         analyzer = ANALYZERS[workload]
@@ -153,8 +150,6 @@ def analyze(
         raise ValueError(
             f"unknown workload {workload!r}; known: {sorted(ANALYZERS)}"
         ) from None
-    if shards != 1:
-        options["shards"] = shards
     if profile is not None:
         options["profile"] = profile
     return analyzer(
@@ -171,7 +166,6 @@ def check(
     consistency_model: str = SERIALIZABLE,
     process_edges: bool = True,
     realtime_edges: bool = True,
-    shards: int = 1,
     profile: Optional[Profile] = None,
     **options,
 ) -> CheckResult:
@@ -180,9 +174,7 @@ def check(
     ``workload`` selects the analyzer (``list-append``, ``rw-register``,
     ``grow-set``, ``counter``).  ``process_edges`` / ``realtime_edges``
     control the §5.1 order inference; disable ``realtime_edges`` when the
-    database makes no real-time claims.  ``shards`` partitions the per-key
-    analysis across a ``multiprocessing`` pool (``python -m repro
-    --shards``); results are identical to ``shards=1``.  ``profile``, when
+    database makes no real-time claims.  ``profile``, when
     given, collects per-stage timings and SCC counters (see
     :mod:`repro.core.profiling`; ``python -m repro --profile`` prints
     them).  Extra keyword options pass through to the analyzer (e.g.
@@ -196,7 +188,6 @@ def check(
                 workload=workload,
                 process_edges=process_edges,
                 realtime_edges=realtime_edges,
-                shards=shards,
                 profile=profile,
                 **options,
             )

@@ -22,7 +22,7 @@ committed read must be expressible as a sum of concurrently-possible
 increments; it relies on process/real-time edges for cycles.
 
 Both run as keyspace-partitioned plans (:mod:`repro.core.keyspace`) over
-the history's single-pass index, so they shard like the stronger analyzers.
+the history's single-pass index, like the stronger analyzers.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ def analyze_grow_set(
     process_edges: bool = True,
     realtime_edges: bool = True,
     timestamp_edges: bool = False,
-    shards: int = 1,
     profile: Profile = None,
 ) -> Analysis:
     """Grow-set analysis: wr/rw edges from element visibility."""
@@ -238,7 +237,7 @@ def analyze_grow_set(
     validate_workload_indexed(history, "grow-set")
     with stage(profile, "analyze/plan"):
         plan = GrowSetPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
+    execute_plan(plan, analysis, profile=profile)
     with stage(profile, "analyze/orders"):
         if process_edges:
             add_process_edges(analysis)
@@ -254,7 +253,6 @@ def analyze_counter(
     process_edges: bool = True,
     realtime_edges: bool = True,
     timestamp_edges: bool = False,
-    shards: int = 1,
     profile: Profile = None,
 ) -> Analysis:
     """Counter analysis: internal consistency and value plausibility.
@@ -271,7 +269,7 @@ def analyze_counter(
     validate_workload_indexed(history, "counter")
     with stage(profile, "analyze/plan"):
         plan = CounterPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
+    execute_plan(plan, analysis, profile=profile)
     with stage(profile, "analyze/orders"):
         if process_edges:
             add_process_edges(analysis)

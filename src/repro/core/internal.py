@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from ..history.ops import ADD, APPEND, INCREMENT, READ, WRITE, Transaction
 from .anomalies import INTERNAL, Anomaly
 
-try:  # Optional acceleration for the candidate sweep.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
+#: Histories below this many transactions sweep candidates in pure Python.
+_NP_SWEEP_MIN = 1024
 
 # Sentinel kinds for per-key knowledge.
 _KNOWN = "known"    # exact value known (after a read)
@@ -174,22 +174,19 @@ def check_internal(txns, workload: str) -> List[Anomaly]:
     return anomalies
 
 
-def internal_candidate_positions(index, lo: int, hi: int) -> List[int]:
-    """Positions in ``[lo, hi)`` that need a per-transaction internal check.
+def internal_candidate_positions(index) -> List[int]:
+    """Transaction positions that need a per-transaction internal check.
 
     The replay only ever fires for committed transactions whose candidate
     bit is set (a read-with-value follows an earlier micro-op on the same
-    key), so the sweep is a bitwise AND over the two status columns.  With
-    numpy that is one vectorized pass; the pure-Python twin walks the
-    bytearrays directly.
+    key), so the sweep is a bitwise AND over the two status columns: one
+    vectorized pass, or a walk over the bytearrays for small histories.
     """
     committed = index.txn_committed
     candidates = index.internal_candidates
-    if _np is not None and hi - lo >= 1024:
-        mask = _np.frombuffer(committed[lo:hi], dtype=_np.uint8) & _np.frombuffer(
-            candidates[lo:hi], dtype=_np.uint8
+    if len(committed) >= _NP_SWEEP_MIN:
+        mask = np.frombuffer(committed, dtype=np.uint8) & np.frombuffer(
+            candidates, dtype=np.uint8
         )
-        return [p + lo for p in _np.flatnonzero(mask).tolist()]
-    return [
-        pos for pos in range(lo, hi) if committed[pos] and candidates[pos]
-    ]
+        return np.flatnonzero(mask).tolist()
+    return [pos for pos in range(len(committed)) if committed[pos] and candidates[pos]]

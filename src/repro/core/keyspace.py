@@ -1,4 +1,4 @@
-"""Keyspace-partitioned analysis: per-key plans, deterministic merge, shards.
+"""Keyspace-partitioned analysis: per-key plans and a deterministic merge.
 
 Elle's dependency inference is separable by key (§4–§5): version orders,
 write indexes, and ww/wr/rw edges are all derived from one key's micro-op
@@ -6,8 +6,9 @@ stream at a time.  This module is the execution engine that exploits that
 separability.  Each analyzer contributes a :class:`KeyspacePlan` — a recipe
 that turns one :class:`~repro.history.index.KeySlice` into *batches* of
 anomalies and evidence-carrying edges — and :func:`execute_plan` runs the
-plan over every key, either inline or across a ``multiprocessing`` pool,
-then merges the batches into the :class:`~repro.core.analysis.Analysis`.
+plan over every key (one whole-index columnar pass when the plan has one,
+else the per-key loop), then merges the batches into the
+:class:`~repro.core.analysis.Analysis`.
 
 **Determinism.**  Every batch is tagged with a sort key that encodes where
 its contents appeared in the historical single-threaded emission order
@@ -15,16 +16,9 @@ its contents appeared in the historical single-threaded emission order
 edges).  The merge sorts batches by tag before applying them, so the
 resulting analysis — anomaly order, graph node interning order (which
 downstream cycle-witness selection is sensitive to), and evidence
-precedence — is byte-identical whether the plan ran on one shard or many,
-and identical to the historical non-partitioned analyzers.
-
-**Sharding.**  ``execute_plan(..., shards=N)`` partitions keys (and the
-transaction list, for internal-consistency checks) round-robin across a
-worker pool.  Workers are forked after the plan is built, so they inherit
-the parent's :class:`~repro.history.index.HistoryIndex` by copy-on-write
-and ship back only compact batch payloads.  On platforms without ``fork``
-the pool falls back to ``spawn`` and rebuilds the plan from the pickled
-history.
+precedence — is independent of the order batches were produced in, and
+identical to the historical non-partitioned analyzers.  The streaming
+checker relies on this: it merges cached per-key batches with fresh ones.
 
 The shared read checks (garbage reads, aborted reads / G1a, intermediate
 reads / G1b, dirty updates) live here too, parameterized by a per-workload
@@ -34,7 +28,6 @@ while the logic exists once.
 
 from __future__ import annotations
 
-import multiprocessing
 from operator import itemgetter
 from typing import (
     Any,
@@ -54,14 +47,9 @@ from .anomalies import Anomaly
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
 
-try:  # Optional: the whole-index columnar fast path is numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
-
-#: Histories below this size run the classic per-key path even when numpy
-#: is available: the columnar pass has fixed setup cost (column builds,
-#: screens) that only pays off once the per-key Python loop dominates.
+#: Histories below this size run the classic per-key path: the columnar
+#: pass has fixed setup cost (column builds, screens) that only pays off
+#: once the per-key Python loop dominates.
 COLUMNAR_MIN_TXNS = 512
 
 #: Batch sort key: (phase, major, minor).  Phases order anomaly groups the
@@ -193,9 +181,7 @@ class KeyspacePlan:
     Subclasses set :attr:`workload`, validate the observation's
     recoverability contract in ``__init__`` (raising
     :class:`~repro.errors.WorkloadError` in the parent, deterministically),
-    and implement :meth:`analyze_key`.  ``plan_options`` must capture the
-    constructor keywords so a ``spawn``-based worker can rebuild the plan
-    from the pickled history.
+    and implement :meth:`analyze_key`.
     """
 
     workload: str = ""
@@ -203,7 +189,6 @@ class KeyspacePlan:
     def __init__(self, history: History, **options: Any) -> None:
         self.history = history
         self.index: HistoryIndex = history.index()
-        self.plan_options: Dict[str, Any] = dict(options)
         self._keys: Sequence[Any] = ()
 
     def keys(self) -> Sequence[Any]:
@@ -231,11 +216,10 @@ class KeyspacePlan:
 
         Returns ``True`` when the plan fully handled the analysis
         (including the merge into ``analysis``); ``False`` to fall back to
-        the classic per-key chunk path.  The base plan has no columnar
+        the classic per-key path.  The base plan has no columnar
         implementation — per-key :meth:`analyze_key` *is* the pure-Python
-        twin, selected exactly like the fallbacks in ``csr.py`` /
-        ``edgelog.py`` (numpy missing, or the history below
-        :data:`COLUMNAR_MIN_TXNS`).
+        twin, selected by size like the fallbacks in ``csr.py`` /
+        ``edgelog.py`` (a history below :data:`COLUMNAR_MIN_TXNS`).
         """
         return False
 
@@ -245,24 +229,23 @@ class KeyspacePlan:
 
     def columnar_eligible(self) -> bool:
         """Shared gate for :meth:`analyze_index` implementations."""
-        return (
-            _np is not None
-            and len(self.index.transactions) >= COLUMNAR_MIN_TXNS
-        )
+        return len(self.index.transactions) >= COLUMNAR_MIN_TXNS
 
     def internal_anomaly_blocks(self) -> List[AnomalyBlock]:
         """The internal-consistency sweep over all transactions, as blocks.
 
-        Used by ``analyze_index`` implementations; byte-identical to the
-        sweep inside :func:`_analyze_chunk` (same tags, same order), with
-        the candidate scan vectorized.
+        The sweep reads the index's columnar transaction status arrays and
+        skips every transaction whose ``internal_candidates`` bit is clear
+        — a transaction with no read-after-same-key micro-op can never
+        witness an internal anomaly, so the per-transaction checker only
+        runs where it could possibly report something.
         """
         index = self.index
         transactions = index.transactions
         txn_ids = index.txn_ids
         check_internal = self.check_internal
         blocks: List[AnomalyBlock] = []
-        for pos in internal_candidate_positions(index, 0, len(transactions)):
+        for pos in internal_candidate_positions(index):
             found = check_internal(transactions[pos])
             if found:
                 blocks.append(((PHASE_INTERNAL, txn_ids[pos], 0), found))
@@ -282,51 +265,12 @@ def register_plan(cls: type) -> type:
 # ---------------------------------------------------------------------------
 # Execution
 
-def _chunk_bounds(plan: KeyspacePlan, shards: int) -> List[Tuple[int, int, int, int]]:
-    """Contiguous ``(txn_lo, txn_hi, key_lo, key_hi)`` ranges per shard.
-
-    Contiguous rather than strided: transactions and keys are laid out in
-    memory roughly in creation order, so range chunks keep each forked
-    worker's page faults (copy-on-write from the inherited index) local to
-    its own share instead of touching every page.
-    """
-    n_txns = len(plan.index.transactions)
-    n_keys = len(plan.keys())
-    return [
-        (
-            i * n_txns // shards,
-            (i + 1) * n_txns // shards,
-            i * n_keys // shards,
-            (i + 1) * n_keys // shards,
-        )
-        for i in range(shards)
-    ]
-
-
-def _analyze_chunk(
-    plan: KeyspacePlan, txn_lo: int, txn_hi: int, key_lo: int, key_hi: int
-) -> Batch:
-    """One worker's share: a transaction range and a key range.
-
-    The internal-consistency sweep reads the index's columnar transaction
-    status arrays and skips every transaction whose ``internal_candidates``
-    bit is clear — a transaction with no read-after-same-key micro-op can
-    never witness an internal anomaly, so the per-transaction checker only
-    runs where it could possibly report something.
-    """
-    anomaly_blocks: List[AnomalyBlock] = []
+def _analyze_plan(plan: KeyspacePlan) -> Batch:
+    """The classic per-key path: the internal sweep, then every key."""
+    anomaly_blocks = plan.internal_anomaly_blocks()
     edge_blocks: List[EdgeBlock] = []
-    index = plan.index
-    transactions = index.transactions
-    txn_ids = index.txn_ids
-    check_internal = plan.check_internal
-    for pos in internal_candidate_positions(index, txn_lo, txn_hi):
-        found = check_internal(transactions[pos])
-        if found:
-            anomaly_blocks.append(((PHASE_INTERNAL, txn_ids[pos], 0), found))
-    keys = plan.keys()
     analyze_key = plan.analyze_key
-    for key in keys[key_lo:key_hi]:
+    for key in plan.keys():
         key_anomalies, key_edges = analyze_key(key)
         anomaly_blocks.extend(key_anomalies)
         edge_blocks.extend(key_edges)
@@ -465,73 +409,22 @@ class LazyEvidence(dict):
         return (dict, (dict(self),))
 
 
-# Worker-side state.  Under the ``fork`` start method the parent sets
-# ``_WORKER_PLAN`` before creating the pool and children inherit it (and the
-# whole HistoryIndex) by copy-on-write; under ``spawn`` the initializer
-# rebuilds the plan from the pickled history.
-_WORKER_PLAN: Optional[KeyspacePlan] = None
-
-
-def _spawn_init(payload: Tuple[History, str, Dict[str, Any]]) -> None:
-    global _WORKER_PLAN
-    history, workload, options = payload
-    _WORKER_PLAN = PLANS[workload](history, **options)
-
-
-def _run_chunk(args: Tuple[int, int, int, int]) -> Batch:
-    return _analyze_chunk(_WORKER_PLAN, *args)
-
-
-def _make_pool(plan: KeyspacePlan, processes: int):
-    global _WORKER_PLAN
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        ctx = multiprocessing.get_context("fork")
-        _WORKER_PLAN = plan
-        return ctx.Pool(processes)
-    ctx = multiprocessing.get_context("spawn")
-    payload = (plan.history, plan.workload, plan.plan_options)
-    return ctx.Pool(processes, _spawn_init, (payload,))
-
-
 def execute_plan(
     plan: KeyspacePlan,
     analysis: Analysis,
-    shards: int = 1,
     profile: Optional[Profile] = None,
 ) -> None:
     """Run a plan over its keyspace and merge the batches into ``analysis``.
 
-    ``shards=1`` runs inline.  ``shards=N`` fans the per-key work (plus the
-    internal-consistency sweep) across ``N`` worker processes; the merged
-    result is identical to the sequential run by construction.
+    The plan's whole-index columnar pass runs first; a plan without one
+    (or a history below :data:`COLUMNAR_MIN_TXNS`) declines, and the
+    classic per-key loop is the pure-Python twin.
     """
-    global _WORKER_PLAN
-    shards = max(1, int(shards))
-    work_units = max(len(plan.keys()), 1)
-    shards = min(shards, work_units)
     if profile is not None:
         profile.count("keyspace.keys", len(plan.keys()))
-        profile.count("keyspace.shards", shards)
-
-    if shards == 1:
-        # Whole-index columnar fast path first; a plan without one (or a
-        # history below the columnar threshold, or no numpy) declines and
-        # the classic per-key loop below is the pure-Python twin.
-        if plan.analyze_index(analysis, profile):
-            return
-        n_txns = len(plan.index.transactions)
-        n_keys = len(plan.keys())
-        with stage(profile, "analyze/keys"):
-            batches = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
-    else:
-        pool = _make_pool(plan, shards)
-        bounds = _chunk_bounds(plan, shards)
-        try:
-            with pool, stage(profile, "analyze/keys"):
-                batches = list(pool.imap_unordered(_run_chunk, bounds))
-        finally:
-            _WORKER_PLAN = None
-
+    if plan.analyze_index(analysis, profile):
+        return
+    with stage(profile, "analyze/keys"):
+        batch = _analyze_plan(plan)
     with stage(profile, "analyze/merge"):
-        _merge(analysis, batches)
+        _merge(analysis, [batch])

@@ -24,14 +24,15 @@ Per key:
 
 Internal consistency (each transaction against its own ops) runs
 transaction-major alongside the plan, and optional session/real-time edges
-(§5.1) are added after the per-key batches merge.  ``shards=N`` fans the
-per-key work across a worker pool with byte-identical results.
+(§5.1) are added after the per-key batches merge.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..history import History, Transaction
 from ..history.index import check_unique_writes, duplicate_write_error
@@ -61,11 +62,6 @@ from .keyspace import (
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
-
-try:  # Optional: the whole-index columnar fast path is numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 
 def build_append_index(
@@ -212,11 +208,10 @@ class ListAppendPlan(KeyspacePlan):
         to :meth:`analyze_key`, the pure-Python twin, whose batches merge
         in the same tag order as ever.  Output — anomalies, graph
         emission order, evidence precedence — is byte-identical to the
-        classic path; the sharding/streaming/service oracles pin that.
+        classic path; the streaming/service oracles pin that.
         """
         if not self.columnar_eligible() or not self._keys:
             return False
-        np = _np
         index = self.index
         cols = index.columns("read")
 
@@ -816,7 +811,6 @@ def analyze_list_append(
     process_edges: bool = True,
     realtime_edges: bool = True,
     timestamp_edges: bool = False,
-    shards: int = 1,
     profile: Profile = None,
 ) -> Analysis:
     """Full list-append analysis of an observation.
@@ -824,8 +818,7 @@ def analyze_list_append(
     Returns an :class:`Analysis` whose graph is the inferred direct
     serialization graph and whose anomaly list carries every non-cycle
     anomaly.  Cycle anomalies are found from the graph by
-    :mod:`repro.core.cycle_search`.  ``shards`` fans the per-key work
-    across a process pool (``1`` = inline) with identical results.
+    :mod:`repro.core.cycle_search`.
     """
     analysis = Analysis(history=history, workload="list-append")
     with stage(profile, "analyze/index"):
@@ -833,7 +826,7 @@ def analyze_list_append(
     validate_workload_indexed(history, "list-append")
     with stage(profile, "analyze/plan"):
         plan = ListAppendPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
+    execute_plan(plan, analysis, profile=profile)
     with stage(profile, "analyze/orders"):
         if process_edges:
             add_process_edges(analysis)

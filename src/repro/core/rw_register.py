@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..graph import LabeledDiGraph, cyclic_components, interval_precedence_pairs
 from ..history import History, Transaction
 from ..history.index import (
@@ -80,11 +82,6 @@ from .keyspace import (
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
-
-try:  # Optional acceleration; analyze_key is the pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 #: Version-order inference sources enabled by default.  ``process`` and
 #: ``realtime`` assume the database claims per-key sequential consistency /
@@ -200,8 +197,9 @@ class RwRegisterPlan(KeyspacePlan):
             intermediate_after_aborted=False,
         )
         #: Whole-index precomputed screens (:meth:`analyze_index`); when
-        #: ``None`` — streaming, sharded workers, no numpy — every key
-        #: derives the same records itself, the pure-Python twin.
+        #: ``None`` — streaming, or a history below the columnar
+        #: threshold — every key derives the same records itself, the
+        #: pure-Python twin.
         self._pre: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -243,11 +241,10 @@ class RwRegisterPlan(KeyspacePlan):
         ``self._pre`` — so the merge order, evidence, and anomalies are
         byte-identical by construction, and :meth:`analyze_key` remains
         its own pure-Python twin whenever the records are absent
-        (streaming, sharded workers, no numpy).
+        (streaming, or a history below the columnar threshold).
         """
         if not self.columnar_eligible() or not self._keys:
             return False
-        np = _np
         index = self.index
         cols = index.columns("key")
         sources = self._sources
@@ -741,7 +738,6 @@ def analyze_rw_register(
     realtime_edges: bool = True,
     timestamp_edges: bool = False,
     sources: Sequence[str] = DEFAULT_SOURCES,
-    shards: int = 1,
     profile: Profile = None,
 ) -> Analysis:
     """Full rw-register analysis of an observation.
@@ -749,8 +745,7 @@ def analyze_rw_register(
     ``sources`` selects the version-order inference rules (§5.2); see
     :data:`DEFAULT_SOURCES`.  ``process_edges`` / ``realtime_edges`` control
     the *transaction*-level session and real-time edges, independent of
-    whether those orders also feed version inference.  ``shards`` fans the
-    per-key work across a process pool (``1`` = inline).
+    whether those orders also feed version inference.
     """
     # Validated here too (not just in the plan) so the historical error
     # ordering holds: bad sources outrank workload-validation errors.
@@ -761,7 +756,7 @@ def analyze_rw_register(
     validate_workload_indexed(history, "rw-register")
     with stage(profile, "analyze/plan"):
         plan = RwRegisterPlan(history, sources=sources)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
+    execute_plan(plan, analysis, profile=profile)
     with stage(profile, "analyze/orders"):
         if process_edges:
             add_process_edges(analysis)

@@ -23,12 +23,9 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .csr import ALL_EDGES, CSRGraph
+import numpy as np
 
-try:  # Optional acceleration; every path below has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
+from .csr import ALL_EDGES, CSRGraph
 
 
 class EdgeLogGraph:
@@ -82,12 +79,12 @@ class EdgeLogGraph:
         if n == 0:
             return
         self._csr = None
-        if _np is not None and isinstance(us, _np.ndarray):
+        if isinstance(us, np.ndarray):
             # numpy int64 shares array('q')'s native 8-byte layout, so the
             # append is a memcpy instead of per-element boxing.
-            self._u.frombytes(us.astype(_np.int64, copy=False).tobytes())
+            self._u.frombytes(us.astype(np.int64, copy=False).tobytes())
             self._v.frombytes(
-                _np.asarray(vs).astype(_np.int64, copy=False).tobytes()
+                np.asarray(vs).astype(np.int64, copy=False).tobytes()
             )
         else:
             self._u.extend(us)
@@ -95,7 +92,7 @@ class EdgeLogGraph:
         self._l.extend(array("q", [label]) * n)
 
     def add_edge_columns(
-        self, us: "_np.ndarray", vs: "_np.ndarray", labels: "_np.ndarray"
+        self, us: "np.ndarray", vs: "np.ndarray", labels: "np.ndarray"
     ) -> None:
         """Append parallel numpy columns with per-edge labels in one memcpy.
 
@@ -105,10 +102,10 @@ class EdgeLogGraph:
         if len(us) == 0:
             return
         self._csr = None
-        if _np is not None and isinstance(us, _np.ndarray):
-            self._u.frombytes(us.astype(_np.int64, copy=False).tobytes())
-            self._v.frombytes(vs.astype(_np.int64, copy=False).tobytes())
-            self._l.frombytes(labels.astype(_np.int64, copy=False).tobytes())
+        if isinstance(us, np.ndarray):
+            self._u.frombytes(us.astype(np.int64, copy=False).tobytes())
+            self._v.frombytes(vs.astype(np.int64, copy=False).tobytes())
+            self._l.frombytes(labels.astype(np.int64, copy=False).tobytes())
         else:
             self._u.extend(us)
             self._v.extend(vs)

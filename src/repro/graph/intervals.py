@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, List, Sequence, Tuple
 
-try:  # Optional: closed-form vectorized reduction for large interval sets.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback branch
-    _np = None
+import numpy as np
 
 Interval = Tuple[Hashable, int, int]  # (id, invoke_time, complete_time)
 
@@ -44,7 +41,7 @@ def interval_precedence_pairs(
     identical to :func:`interval_precedence_edges` on the zipped triples.
     """
     m = len(ids)
-    if _np is not None and m >= _NP_SORT_MIN:
+    if m >= _NP_SORT_MIN:
         return _precedence_pairs_np(ids, invokes, completes)
     # Event order: by time, invocations before completions at the same
     # timestamp (a completion tied with an invocation is treated as
@@ -124,26 +121,26 @@ def _precedence_pairs_np(
     byte-identical to the sweep's emission sequence.
     """
     m = len(ids)
-    inv = _np.asarray(invokes, dtype=_np.int64)
-    comp = _np.asarray(completes, dtype=_np.int64)
-    bad = _np.flatnonzero(inv >= comp)
+    inv = np.asarray(invokes, dtype=np.int64)
+    comp = np.asarray(completes, dtype=np.int64)
+    bad = np.flatnonzero(inv >= comp)
     if len(bad):
         i = int(bad[0])
         raise ValueError(
             f"interval for {ids[i]!r} must have invoke < complete, "
             f"got [{invokes[i]}, {completes[i]}]"
         )
-    corder = _np.argsort(comp, kind="stable")
-    iorder = _np.argsort(inv, kind="stable")
+    corder = np.argsort(comp, kind="stable")
+    iorder = np.argsort(inv, kind="stable")
     comp_sorted = comp[corder]
     inv_sorted = inv[iorder]
-    tail = _np.searchsorted(comp_sorted, inv_sorted, side="left")
+    tail = np.searchsorted(comp_sorted, inv_sorted, side="left")
     # Prefix max of invocation times in completion order gives M(b) for
     # the tail(b) completions processed before b.
-    prefmax = _np.maximum.accumulate(inv[corder])
-    thresh = prefmax[_np.maximum(tail - 1, 0)]
-    head = _np.where(
-        tail > 0, _np.searchsorted(comp_sorted, thresh, side="left"), 0
+    prefmax = np.maximum.accumulate(inv[corder])
+    thresh = prefmax[np.maximum(tail - 1, 0)]
+    head = np.where(
+        tail > 0, np.searchsorted(comp_sorted, thresh, side="left"), 0
     )
     counts = tail - head
     total = int(counts.sum())
@@ -151,13 +148,13 @@ def _precedence_pairs_np(
         return [], []
     # Concatenated window indices: one arange per invocation, offset so
     # each restarts at its own head.
-    offsets = _np.cumsum(counts) - counts
-    idx = _np.arange(total, dtype=_np.int64) + _np.repeat(
+    offsets = np.cumsum(counts) - counts
+    idx = np.arange(total, dtype=np.int64) + np.repeat(
         head - offsets, counts
     )
     src_pos = corder[idx]
-    tgt_pos = _np.repeat(iorder, counts)
-    ids_arr = _np.asarray(ids)
+    tgt_pos = np.repeat(iorder, counts)
+    ids_arr = np.asarray(ids)
     if ids_arr.dtype.kind in "iu":
         # Integer ids stay columnar: the edge log ingests these arrays
         # with a buffer copy, no per-edge boxing.

@@ -357,8 +357,7 @@ class History:
 
         Built lazily on first use and shared by every analyzer, so the
         per-key regrouping of the observation happens exactly once per
-        history (and, under fork-based sharding, once per *check*).
-        ``profile``, when given, records the build's stages and interning
+        history.  ``profile``, when given, records the build's stages and interning
         counters — a no-op when the index is already cached.
         """
         if self._index is None:

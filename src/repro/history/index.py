@@ -27,9 +27,7 @@ Object-level views (``slice.ops``, ``slice.write_map``, ...) remain as
 derived properties for tests and cold paths; the plans read the arrays.
 
 The index is cached on the history (``history.index()``), so the checker,
-plans, and the streaming layer share one build.  Because a fork-based
-worker pool inherits the parent's memory, sharded analysis reuses the same
-index without re-scanning per worker.
+plans, and the streaming layer share one build.
 
 **Incremental extension.**  ``History.extend`` keeps the cached index alive
 by calling :meth:`HistoryIndex.extend` with the appended transactions and
@@ -51,13 +49,10 @@ import weakref
 from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import RetiredKeyError, WorkloadError
 from .ops import OpType, READ, MicroOp, Transaction
-
-try:  # Optional: the whole-index column views are numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 
 def _stage(profile, name: str):
@@ -407,7 +402,6 @@ class IndexColumns:
     )
 
     def __init__(self, index: "HistoryIndex", order: str) -> None:
-        np = _np
         keys = index.read_key_order if order == "read" else index.key_order
         self.keys: List[Any] = list(keys)
         slices = [index.slices[key] for key in self.keys]
@@ -912,17 +906,14 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Access
 
-    def columns(self, order: str = "read") -> Optional[IndexColumns]:
+    def columns(self, order: str = "read") -> IndexColumns:
         """The whole-index CSR column view for a key ``order``, cached.
 
         ``order`` is ``"read"`` (keys in ``read_key_order``, the
         list-append merge order) or ``"key"`` (``key_order``, first
-        appearance).  Returns ``None`` when numpy is unavailable — callers
-        fall back to the per-key object path.  The view is immutable; any
-        index mutation bumps the clock and the next call rebuilds.
+        appearance).  The view is immutable; any index mutation bumps the
+        clock and the next call rebuilds.
         """
-        if _np is None:
-            return None
         cached = self._columns.get(order)
         if cached is not None and cached[0] == self._clock:
             return cached[1]

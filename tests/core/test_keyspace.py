@@ -2,21 +2,16 @@
 
 import random
 
-
 from repro.core import WW, analyze
 from repro.core.analysis import Analysis, Evidence
 from repro.core.anomalies import G1A, GARBAGE_READ, Anomaly
 from repro.core.keyspace import (
     PLANS,
     ReadCheckStyle,
-    _analyze_chunk,
-    _chunk_bounds,
+    _analyze_plan,
     _merge,
-    _run_chunk,
-    _spawn_init,
     check_recoverable_read,
 )
-from repro.core import keyspace
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r, w
 
@@ -36,13 +31,14 @@ class TestMergeDeterminism:
     def test_batch_order_is_irrelevant(self):
         h = history()
         plan = PLANS["list-append"](h)
-        n_txns = len(plan.index.transactions)
-        n_keys = len(plan.keys())
-        whole = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
-        pieces = [
-            _analyze_chunk(plan, *bounds) for bounds in _chunk_bounds(plan, 3)
-        ]
-        random.Random(0).shuffle(pieces)
+        whole = [_analyze_plan(plan)]
+        # Split the whole-plan batch into shuffled pieces: the merge must
+        # restore tag order however the blocks arrive.
+        rng = random.Random(0)
+        anomaly_blocks, edge_blocks = (list(blocks) for blocks in whole[0])
+        rng.shuffle(anomaly_blocks)
+        rng.shuffle(edge_blocks)
+        pieces = [(anomaly_blocks[i::3], edge_blocks[i::3]) for i in range(3)]
 
         merged_whole = Analysis(history=h, workload="list-append")
         _merge(merged_whole, whole)
@@ -79,44 +75,6 @@ class TestPlanRegistry:
             "grow-set",
             "counter",
         }
-
-    def test_spawn_init_rebuilds_equivalent_plan(self):
-        h = history(seed=23)
-        parent = PLANS["list-append"](h)
-        bounds = _chunk_bounds(parent, 2)
-
-        _spawn_init((h, "list-append", parent.plan_options))
-        try:
-            rebuilt = [_run_chunk(b) for b in bounds]
-        finally:
-            keyspace._WORKER_PLAN = None
-        direct = [_analyze_chunk(parent, *b) for b in bounds]
-        assert rebuilt == direct
-
-    def test_plan_options_survive_for_rw_register(self):
-        h = history("rw-register", seed=2)
-        plan = PLANS["rw-register"](
-            h, sources=("initial-state", "write-follows-read", "process")
-        )
-        assert plan.plan_options == {
-            "sources": ("initial-state", "write-follows-read", "process")
-        }
-
-
-class TestChunkBounds:
-    def test_bounds_cover_everything_once(self):
-        h = history(seed=31)
-        plan = PLANS["list-append"](h)
-        bounds = _chunk_bounds(plan, 4)
-        txn_spans = [(lo, hi) for lo, hi, _kl, _kh in bounds]
-        key_spans = [(kl, kh) for _lo, _hi, kl, kh in bounds]
-        assert txn_spans[0][0] == 0
-        assert txn_spans[-1][1] == len(plan.index.transactions)
-        assert key_spans[-1][1] == len(plan.keys())
-        for (a, b), (c, _d) in zip(txn_spans, txn_spans[1:]):
-            assert b == c
-        for (a, b), (c, _d) in zip(key_spans, key_spans[1:]):
-            assert b == c
 
 
 class TestSharedReadChecks:
@@ -173,14 +131,8 @@ class TestSharedReadChecks:
 
 
 class TestAnalyzeForwarding:
-    def test_shards_reach_builtin_analyzers(self):
-        h = history(seed=41)
-        sequential = analyze(h, shards=1)
-        sharded = analyze(h, shards=2)
-        assert sorted(sequential.graph.edges()) == sorted(sharded.graph.edges())
-
     def test_custom_analyzers_unaffected_by_defaults(self):
-        # analyze() must not force shards/profile kwargs on analyzers that
+        # analyze() must not force a profile kwarg on analyzers that
         # never opted in (registered third-party callables).
         from repro.core import register_analyzer
         from repro.core.checker import ANALYZERS

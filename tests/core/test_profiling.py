@@ -135,8 +135,6 @@ class TestColumnarProfiling:
     def _force_columnar(self, monkeypatch):
         import repro.core.keyspace as keyspace
 
-        if keyspace._np is None:
-            pytest.skip("columnar screens require numpy")
         monkeypatch.setattr(keyspace, "COLUMNAR_MIN_TXNS", 0)
 
     def test_list_append_screen_stages_and_key_accounting(self):
@@ -196,10 +194,6 @@ class TestProfileCLI:
         assert "counters:" in out
 
     def test_profile_flag_surfaces_columnar_screen_stage(self, capsys):
-        import repro.core.keyspace as keyspace
-
-        if keyspace._np is None:
-            pytest.skip("columnar screens require numpy")
         # 600 generated transactions cross COLUMNAR_MIN_TXNS (512).
         code = main(["--quiet", "--txns", "600", "--seed", "1", "--profile"])
         assert code == 0

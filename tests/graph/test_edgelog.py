@@ -15,19 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, EdgeLogGraph, LabeledDiGraph
-from repro.graph import csr as csr_mod
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
 from repro.graph.intervals import (
     interval_precedence_edges,
     interval_precedence_pairs,
-)
-
-requires_numpy = pytest.mark.skipif(
-    csr_mod._np is None, reason="exercises the numpy bulk builder directly"
-)
-
-requires_scipy = pytest.mark.skipif(
-    not csr_mod._sparse(), reason="the acyclicity screen needs scipy.sparse"
 )
 
 edge_lists = st.lists(
@@ -68,10 +59,9 @@ class TestEdgeLogEquivalence:
         ls = [label for _u, _v, label in edges]
         ref = csr_signature(reference_csr(edges))
         assert csr_signature(CSRGraph._from_edge_log_py(us, vs, ls)) == ref
-        if edges and csr_mod._np is not None:
+        if edges:
             assert csr_signature(CSRGraph._from_edge_log_np(us, vs, ls)) == ref
 
-    @requires_numpy
     def test_numpy_builder_handles_sparse_node_values(self):
         # Node values far above the edge count take the np.unique path
         # instead of the dense-domain scatter.
@@ -171,7 +161,6 @@ class TestAcyclicityScreen:
             log.add_edge(n, 0, 1)
         return log.freeze()
 
-    @requires_scipy
     def test_large_acyclic_graph_screens_to_no_components(self):
         csr = self.chain_graph(_FAST_SCC_MIN_EDGES + 8, cyclic=False)
         assert csr._provably_acyclic(csr.label_union)
@@ -192,7 +181,6 @@ class TestAcyclicityScreen:
         assert not csr._provably_acyclic(csr.label_union)
         assert [c for c in csr.cyclic_scc_idx(csr.label_union)] == [[5]]
 
-    @requires_scipy
     def test_masked_screen_filters_edges(self):
         # Under the full mask there is a cycle; under mask=1 there is not.
         log = EdgeLogGraph()
@@ -244,11 +232,9 @@ class TestIntervalPairs:
         ids = [i for i, _a, _b in intervals]
         invokes = [a for _i, a, _b in intervals]
         completes = [b for _i, _a, b in intervals]
-        if intervals_mod._np is None:
-            pytest.skip("numpy unavailable; only the tuple sort exists")
         via_numpy = interval_precedence_pairs(ids, invokes, completes)
         # Force the tuple-sort branch for the reference computation.
-        monkeypatch.setattr(intervals_mod, "_np", None)
+        monkeypatch.setattr(intervals_mod, "_NP_SORT_MIN", float("inf"))
         via_tuples = interval_precedence_pairs(ids, invokes, completes)
         # The numpy branch may hand back int64 arrays; compare as lists.
         assert [list(map(int, side)) for side in via_numpy] == [

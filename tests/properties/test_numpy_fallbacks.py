@@ -2,13 +2,14 @@
 
 The analyzer's hot paths — whole-index columnar screens, bulk edge-array
 ingestion, the closed-form interval reduction, process-chain scatter — are
-numpy passes, but numpy is an *optional* accelerator: each pass keeps a
-pure-Python twin selected by the same ``_np is None`` machinery as the
-graph layer's CSR fallback.  These tests force the twins two ways and pin
-byte-identity both times:
+numpy passes.  Each keeps a pure-Python twin, selected by input size: small
+inputs take the twin, where numpy's per-call overhead would dominate, and
+the twin doubles as the reference oracle for its numpy pass.  These tests
+force the twins two ways and pin byte-identity both times:
 
-* ``_np = None`` across every accelerated module (simulating an
-  environment without numpy, as the CI ``no-numpy`` job runs for real);
+* every size threshold (:data:`SIZE_THRESHOLDS`) lowered to 1 for the
+  reference run, so each numpy pass runs whatever the input size, and
+  raised to infinity for the compared run, so only the twins run;
 * ``COLUMNAR_MIN_TXNS = 0`` (forcing the columnar screens on histories
   small enough that they normally take the per-key path) against the
   screens disabled outright.
@@ -28,26 +29,38 @@ from repro.generator import RunConfig, WorkloadConfig, run_workload
 
 import repro.core.internal as internal_mod
 import repro.core.keyspace as keyspace_mod
-import repro.core.list_append as list_append_mod
 import repro.core.orders as orders_mod
-import repro.core.rw_register as rw_register_mod
 import repro.graph.csr as csr_mod
-import repro.graph.edgelog as edgelog_mod
 import repro.graph.intervals as intervals_mod
-import repro.history.index as index_mod
 
-#: Every module holding a guarded ``_np`` with a pure-Python twin.
-ACCELERATED_MODULES = [
-    csr_mod,
-    edgelog_mod,
-    index_mod,
-    internal_mod,
-    intervals_mod,
-    keyspace_mod,
-    list_append_mod,
-    orders_mod,
-    rw_register_mod,
+#: Every size threshold that selects between a numpy pass and its
+#: pure-Python twin, as ``(module, attribute)``.  The columnar screens
+#: (``COLUMNAR_MIN_TXNS``) gate the list-append and rw-register
+#: ``analyze_index`` passes and the index's column views.
+SIZE_THRESHOLDS = [
+    (csr_mod, "_BULK_MIN_EDGES"),
+    (csr_mod, "_FAST_SCC_MIN_EDGES"),
+    (internal_mod, "_NP_SWEEP_MIN"),
+    (intervals_mod, "_NP_SORT_MIN"),
+    (keyspace_mod, "COLUMNAR_MIN_TXNS"),
+    (orders_mod, "_NP_ORDERS_MIN"),
 ]
+
+
+def set_thresholds(patch, value):
+    """Set every numpy/twin size threshold to ``value``."""
+    for mod, name in SIZE_THRESHOLDS:
+        patch.setattr(mod, name, value)
+
+
+def force_numpy(patch):
+    """Lower every threshold to 1: each numpy pass runs on any input."""
+    set_thresholds(patch, 1)
+
+
+def force_twins(patch):
+    """Raise every threshold past any input: only the twins run."""
+    set_thresholds(patch, float("inf"))
 
 FAULTS = {
     "none": None,
@@ -115,37 +128,32 @@ def _signed_check(history, workload):
 
 
 @pytest.fixture
-def no_numpy(monkeypatch):
-    """Null out ``_np`` everywhere, as an import failure would."""
-    for mod in ACCELERATED_MODULES:
-        monkeypatch.setattr(mod, "_np", None)
+def pure_python(monkeypatch):
+    """Select the pure-Python twin of every numpy pass."""
+    force_twins(monkeypatch)
 
 
 @pytest.fixture
 def forced_columnar(monkeypatch):
     """Run the whole-index screens on histories of any size."""
-    if keyspace_mod._np is None:
-        pytest.skip("columnar screens require numpy")
     monkeypatch.setattr(keyspace_mod, "COLUMNAR_MIN_TXNS", 0)
 
 
 class TestNoNumpyTwins:
-    """``_np = None`` must reproduce the accelerated output exactly."""
+    """With every numpy pass bypassed, the twins reproduce its output exactly."""
 
     @pytest.mark.parametrize("workload", ["list-append", "rw-register"])
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_check_is_identical_without_numpy(
         self, monkeypatch, workload, fault
     ):
-        # 600 transactions cross COLUMNAR_MIN_TXNS (512) and the interval
-        # and process-chain vectorization thresholds, so the reference
-        # run takes every accelerated path the twins must match.
         history = make_history(workload, fault, seed=11, txns=600)
-        reference = _signed_check(history, workload)
-        history._index = None  # the index itself has twinned builders
         with monkeypatch.context() as patch:
-            for mod in ACCELERATED_MODULES:
-                patch.setattr(mod, "_np", None)
+            force_numpy(patch)
+            reference = _signed_check(history, workload)
+        history._index = None  # drop the cached column views
+        with monkeypatch.context() as patch:
+            force_twins(patch)
             assert _signed_check(history, workload) == reference
 
     @pytest.mark.parametrize("workload", ["grow-set", "counter"])
@@ -153,14 +161,15 @@ class TestNoNumpyTwins:
         self, monkeypatch, workload
     ):
         history = make_history(workload, "tidb-retry", seed=5, txns=600)
-        reference = _signed_check(history, workload)
+        with monkeypatch.context() as patch:
+            force_numpy(patch)
+            reference = _signed_check(history, workload)
         history._index = None
         with monkeypatch.context() as patch:
-            for mod in ACCELERATED_MODULES:
-                patch.setattr(mod, "_np", None)
+            force_twins(patch)
             assert _signed_check(history, workload) == reference
 
-    def test_columnar_screens_decline_without_numpy(self, no_numpy):
+    def test_columnar_screens_decline_without_numpy(self, pure_python):
         from repro.core import Profile
 
         history = make_history("list-append", "none", seed=3, txns=600)
@@ -205,14 +214,12 @@ class TestHypothesisSweep:
         patch = pytest.MonkeyPatch()
         try:
             patch.setattr(keyspace_mod, "COLUMNAR_MIN_TXNS", 0)
-            if keyspace_mod._np is not None:
-                assert _signed_check(history, workload) == reference
+            assert _signed_check(history, workload) == reference
         finally:
             patch.undo()
         history._index = None
         try:
-            for mod in ACCELERATED_MODULES:
-                patch.setattr(mod, "_np", None)
+            force_twins(patch)
             assert _signed_check(history, workload) == reference
         finally:
             patch.undo()

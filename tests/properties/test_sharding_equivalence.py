@@ -1,13 +1,19 @@
-"""The sharding oracle: ``shards=N`` is byte-identical to sequential.
+"""The key-sharding oracle: per-key batches merge into the whole check.
 
-The keyspace-partitioned analysis pipeline promises that partitioning is
-purely an execution strategy — every batch merge is deterministic, so a
-sharded run must reproduce the sequential analysis *exactly*: same
-anomalies in the same order with the same messages, same graph (including
-node interning order, which cycle-witness selection depends on), same
-evidence, same verdict.  These tests pin that across all four workloads,
+Elle's dependency inference is separable by key (§4–§5), and the keyspace
+pipeline promises that the tag-ordered merge makes the order in which
+per-key batches arrive irrelevant.  The streaming checker relies on that
+promise when it merges cached per-key batches with fresh ones.  These tests
+split a plan's keyspace into ``shards`` interleaved key groups, analyze each
+group on its own, merge the groups in shuffled order, and require the result
+to reproduce :func:`repro.check` / :func:`repro.core.analyze` *exactly*:
+same anomalies in the same order with the same messages, same graph
+(including node interning order, which cycle-witness selection depends on),
+same evidence, same verdict.  They pin that across all four workloads,
 multiple fault injectors, and randomized generator configurations.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +21,10 @@ from hypothesis import strategies as st
 
 from repro import check
 from repro.core import analyze
+from repro.core.analysis import Analysis
+from repro.core.checker import finish_analysis
+from repro.core.keyspace import PLANS, _merge
+from repro.core.orders import add_process_edges, add_realtime_edges
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 
@@ -42,6 +52,32 @@ def make_history(workload, fault, seed, txns=250):
             faults=FAULTS[fault],
         )
     )
+
+
+def sharded_analysis(history, workload, shards, seed=0, **options):
+    """Analyze ``shards`` interleaved key groups apart, merge shuffled."""
+    plan = PLANS[workload](history, **options)
+    keys = list(plan.keys())
+    batches = [(plan.internal_anomaly_blocks(), [])]
+    for shard in range(shards):
+        anomaly_blocks, edge_blocks = [], []
+        for key in keys[shard::shards]:
+            key_anomalies, key_edges = plan.analyze_key(key)
+            anomaly_blocks.extend(key_anomalies)
+            edge_blocks.extend(key_edges)
+        batches.append((anomaly_blocks, edge_blocks))
+    random.Random(seed).shuffle(batches)
+    analysis = Analysis(history=history, workload=workload)
+    _merge(analysis, batches)
+    add_process_edges(analysis)
+    add_realtime_edges(analysis)
+    return analysis
+
+
+def sharded_check(history, workload, shards, seed=0, **options):
+    """The serializable verdict over :func:`sharded_analysis`."""
+    analysis = sharded_analysis(history, workload, shards, seed, **options)
+    return finish_analysis(analysis, "serializable")
 
 
 def analysis_signature(analysis):
@@ -84,40 +120,42 @@ def check_options(workload):
 
 
 class TestShardedCheckEquivalence:
-    """check(shards=N) == check(shards=1), everywhere."""
+    """Merged key shards == check(), everywhere."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("fault", ["tidb-retry", "fauna-internal"])
     def test_faulty_histories(self, workload, fault):
-        history = make_history(workload, fault, seed=11)
-        kwargs = dict(
-            workload=workload,
-            consistency_model="serializable",
-            **check_options(workload),
+        # 600 transactions cross COLUMNAR_MIN_TXNS (512), so check() takes
+        # the whole-index columnar pass of the two workloads that have one.
+        txns = 600 if workload in ("list-append", "rw-register") else 250
+        history = make_history(workload, fault, seed=11, txns=txns)
+        options = check_options(workload)
+        whole = check(
+            history, workload=workload, consistency_model="serializable",
+            **options,
         )
-        sequential = check(history, shards=1, **kwargs)
         for shards in (2, 3):
-            sharded = check(history, shards=shards, **kwargs)
-            assert result_signature(sharded) == result_signature(sequential)
+            sharded = sharded_check(history, workload, shards, **options)
+            assert result_signature(sharded) == result_signature(whole)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_clean_histories(self, workload):
         history = make_history(workload, "none", seed=5)
-        sequential = check(history, workload=workload, shards=1)
-        sharded = check(history, workload=workload, shards=2)
-        assert result_signature(sharded) == result_signature(sequential)
+        whole = check(history, workload=workload)
+        sharded = sharded_check(history, workload, 2)
+        assert result_signature(sharded) == result_signature(whole)
 
     def test_yugabyte_stale_read_list_append(self):
         history = make_history("list-append", "yugabyte-stale-read", seed=3)
-        sequential = check(history, shards=1)
-        sharded = check(history, shards=4)
-        assert result_signature(sharded) == result_signature(sequential)
+        whole = check(history)
+        sharded = sharded_check(history, "list-append", 4)
+        assert result_signature(sharded) == result_signature(whole)
 
     def test_more_shards_than_keys(self):
         history = make_history("list-append", "none", seed=2, txns=40)
-        sequential = check(history, shards=1)
-        sharded = check(history, shards=64)
-        assert result_signature(sharded) == result_signature(sequential)
+        whole = check(history)
+        sharded = sharded_check(history, "list-append", 64)
+        assert result_signature(sharded) == result_signature(whole)
 
 
 class TestShardedAnalyzeEquivalence:
@@ -126,9 +164,9 @@ class TestShardedAnalyzeEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_analysis_identical(self, workload):
         history = make_history(workload, "tidb-retry", seed=29)
-        sequential = analyze(history, workload=workload, shards=1)
-        sharded = analyze(history, workload=workload, shards=2)
-        assert analysis_signature(sharded) == analysis_signature(sequential)
+        whole = analyze(history, workload=workload)
+        sharded = sharded_analysis(history, workload, 2)
+        assert analysis_signature(sharded) == analysis_signature(whole)
 
 
 class TestRandomizedEquivalence:
@@ -164,7 +202,9 @@ class TestRandomizedEquivalence:
                 faults=FAULTS[fault],
             )
         )
-        kwargs = dict(workload=workload, **check_options(workload))
-        sequential = check(history, shards=1, **kwargs)
-        sharded = check(history, shards=shards, **kwargs)
-        assert result_signature(sharded) == result_signature(sequential)
+        options = check_options(workload)
+        whole = check(history, workload=workload, **options)
+        sharded = sharded_check(
+            history, workload, shards, seed=seed, **options
+        )
+        assert result_signature(sharded) == result_signature(whole)

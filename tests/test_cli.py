@@ -1,10 +1,33 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import build_parser, build_serve_parser, main
+
+
+class TestImports:
+    def test_scipy_is_imported_lazily(self):
+        # scipy.sparse.csgraph costs ~0.3 s to import; only the acyclicity
+        # screen on large graphs loads it, never CLI or daemon start-up.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.__main__, repro.service.server; "
+            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:
@@ -87,22 +110,6 @@ class TestMain:
         ])
         assert code == 0
 
-    def test_shards_flag_same_verdict(self, capsys):
-        args = [
-            "--quiet",
-            "--txns", "400",
-            "--isolation", "snapshot-isolation",
-            "--fault", "tidb-retry",
-            "--model", "snapshot-isolation",
-            "--seed", "3",
-        ]
-        code = main(args)
-        sequential = capsys.readouterr().out
-        code_sharded = main(args + ["--shards", "2"])
-        sharded = capsys.readouterr().out
-        assert code == code_sharded == 1
-        assert sharded == sequential
-
     def test_dump_and_reload_history(self, tmp_path, capsys):
         path = tmp_path / "observation.jsonl"
         code = main([
@@ -135,6 +142,40 @@ class TestMain:
         reloaded = capsys.readouterr().out
         assert code == 1
         assert reloaded == direct
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a one-line error; exit 1 means an anomaly."""
+
+    def assert_input_error(self, argv, capsys, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_malformed_in_record(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"type": "ok"}\n', encoding="utf-8")
+        self.assert_input_error(
+            ["--in", str(path)], capsys, "malformed operation record"
+        )
+
+    def test_missing_in_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        self.assert_input_error(["--in", str(missing)], capsys, str(missing))
+
+    def test_negative_txns(self, capsys):
+        self.assert_input_error(["--txns", "-3"], capsys, "txns")
+
+    def test_zero_keys(self, capsys):
+        self.assert_input_error(["--keys", "0"], capsys, "key")
+
+    def test_nonpositive_fault_window(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--fault-window", "-1", "--fault", "tidb-retry"])
+        assert exc.value.code == 2
+        assert "--fault-window must be positive" in capsys.readouterr().err
 
 
 class TestFollowMode:
@@ -185,8 +226,11 @@ class TestFollowMode:
         assert "chunk 1:" in out and "VALID" in out
 
     def test_follow_rejects_shards(self, capsys):
-        with pytest.raises(SystemExit):
+        # The process pool is gone: --shards is an unknown argument.
+        with pytest.raises(SystemExit) as exc:
             main(["--follow", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_rejects_nonpositive_chunk(self, capsys):
         with pytest.raises(SystemExit):
@@ -282,8 +326,10 @@ class TestServeParser:
             main(["serve", "--port", "7907", "--chunk", "0"])
 
     def test_connect_rejects_shards_and_profile(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["--connect", "127.0.0.1:7907", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["--connect", "127.0.0.1:7907", "--profile"])
 
