@@ -18,16 +18,10 @@ a unix socket, driven by the load generator with N interleaved sessions
   flatness is the claim worth tracking;
 * ``append_ms_p50/p95/p99`` — client-observed append round-trip latency
   (request write to reply read, backpressure waits included), the number
-  a production harness would actually feel.
-
-``--obs`` runs the daemon with telemetry live (metrics registry + chunk
-tracer, as ``serve --metrics-port`` would) and adds
-``analyze_ms_p50/p95/p99`` from the tracer's per-chunk spans — the
-server-side analysis tail, measured by the instrumentation itself.
-``--obs-overhead`` runs one shape twice back-to-back, telemetry off then
-on, and fails (exit 2) when the instrumented run's throughput drops
-below ``1/--obs-tolerance`` of the bare run — the "off the hot path"
-claim as a guard, not folklore.
+  a production harness would actually feel;
+* ``analyze_ms_p50/p95/p99`` — the server-side analysis tail, from the
+  chunk tracer's per-chunk spans (telemetry is always on, so every row
+  measures the instrumented daemon).
 
 ``--durability`` runs the same sweep against a *durable* daemon — WAL on
 every append, periodic checkpoints (``--checkpoint-every``), the chosen
@@ -82,20 +76,22 @@ def _batch_expectations(streams, workload):
     }
 
 
-def _measure(streams, args, obs=None):  # pragma: no cover - manual entry
+def _measure(streams, args):  # pragma: no cover - manual entry
     import shutil
     import tempfile
 
+    from repro.obs import Observability, percentiles
     from repro.service import BackgroundService, run_load
 
     sessions = len(streams)
     sock = os.path.join(args.socket_dir, f"bench-{sessions}.sock")
     if os.path.exists(sock):
         os.unlink(sock)
-    service_kwargs = {}
+    # One bundle for the daemon, with a ring large enough to hold every
+    # chunk of the sweep for the analyze_ms percentiles.
+    obs = Observability(trace_capacity=4096)
+    service_kwargs = {"obs": obs}
     data_dir = None
-    if obs is not None:
-        service_kwargs["obs"] = obs
     if args.durability:
         from repro.service import DurabilityManager
 
@@ -104,6 +100,7 @@ def _measure(streams, args, obs=None):  # pragma: no cover - manual entry
             data_dir,
             checkpoint_every=args.checkpoint_every,
             fsync=args.fsync,
+            obs=obs,
         )
     try:
         with BackgroundService(unix_path=sock, port=None, **service_kwargs):
@@ -124,7 +121,6 @@ def _measure(streams, args, obs=None):  # pragma: no cover - manual entry
     row = {
         "mode": "service",
         "durability": bool(args.durability),
-        "obs": obs is not None,
         "sessions": sessions,
         "txns_per_session": args.txns,
         "workload": args.workload,
@@ -143,56 +139,13 @@ def _measure(streams, args, obs=None):  # pragma: no cover - manual entry
         "append_ms_p95": append_ms["p95"],
         "append_ms_p99": append_ms["p99"],
     }
-    if obs is not None and obs.tracer is not None:
-        from repro.obs import percentiles
-
-        analyze_ms = percentiles(
-            [trace["ms"] for trace in obs.tracer.snapshot()]
-        )
-        for name, value in analyze_ms.items():
-            row[f"analyze_ms_{name}"] = round(value, 3)
+    analyze_ms = percentiles([trace["ms"] for trace in obs.tracer.snapshot()])
+    for name, value in analyze_ms.items():
+        row[f"analyze_ms_{name}"] = round(value, 3)
     if args.durability:
         row["fsync"] = args.fsync
         row["checkpoint_every"] = args.checkpoint_every
     return row, out["verdicts"]
-
-
-def _bench_obs(args):  # pragma: no cover - manual entry point
-    """One telemetry-enabled daemon for a sweep (fresh tracer per call)."""
-    from repro.obs import Observability
-
-    return Observability.enabled(trace_capacity=4096)
-
-
-def _obs_overhead(args):  # pragma: no cover - manual entry point
-    """Back-to-back bare vs instrumented run of one sweep shape.
-
-    Same streams, same daemon configuration, telemetry off then on.
-    Returns both rows plus the failure lines (instrumented throughput
-    below ``1/--obs-tolerance`` of bare) for the caller to report.
-    """
-    sessions = args.sessions[0]
-    streams = _session_streams(sessions, args)
-    expected = _batch_expectations(streams, args.workload)
-    bare, verdicts = _measure(streams, args)
-    _verify(verdicts, expected)
-    instrumented, verdicts = _measure(streams, args, obs=_bench_obs(args))
-    _verify(verdicts, expected)
-    failures = []
-    floor = bare["ops_per_second"] / args.obs_tolerance
-    if instrumented["ops_per_second"] < floor:
-        failures.append(
-            f"telemetry overhead: {instrumented['ops_per_second']:.0f} "
-            f"ops/s instrumented vs {bare['ops_per_second']:.0f} bare "
-            f"(floor {floor:.0f} at tolerance {args.obs_tolerance:g}x)"
-        )
-    print(
-        f"obs overhead @ {sessions} sessions x {args.txns} txns: "
-        f"bare {bare['ops_per_second']:.0f} ops/s, instrumented "
-        f"{instrumented['ops_per_second']:.0f} ops/s "
-        f"({instrumented['ops_per_second'] / bare['ops_per_second']:.3f}x)"
-    )
-    return [bare, instrumented], failures
 
 
 def _completed(ops):
@@ -485,28 +438,6 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
         help="checkpoint cadence for --durability (default: 20000)",
     )
     parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run the daemon with telemetry live (metrics registry + "
-        "chunk tracer) and record analyze_ms_p50/p95/p99 from the "
-        "tracer's per-chunk spans",
-    )
-    parser.add_argument(
-        "--obs-overhead",
-        action="store_true",
-        help="run the first --sessions shape twice, telemetry off then "
-        "on, and fail (exit 2) when the instrumented run is slower than "
-        "1/--obs-tolerance of the bare run",
-    )
-    parser.add_argument(
-        "--obs-tolerance",
-        type=float,
-        default=1.05,
-        metavar="X",
-        help="throughput ratio tolerated by --obs-overhead "
-        "(default: 1.05, i.e. within 5%%)",
-    )
-    parser.add_argument(
         "--soak",
         type=float,
         default=None,
@@ -573,20 +504,6 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
     )
     args = parser.parse_args(argv)
 
-    if args.obs_overhead:
-        results, failures = _obs_overhead(args)
-        path = record_run(
-            "service_scaling", results, path=args.out,
-            cpu_count=os.cpu_count(),
-        )
-        print(f"recorded to {path}")
-        if failures:
-            print("telemetry overhead guard FAILED:")
-            for line in failures:
-                print(f"  {line}")
-            sys.exit(2)
-        return
-
     if args.soak is not None:
         row, failures = _soak(args)
         path = record_run(
@@ -604,13 +521,10 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
     for sessions in args.sessions:
         streams = _session_streams(sessions, args)
         expected = _batch_expectations(streams, args.workload)
-        obs = _bench_obs(args) if args.obs else None
-        row, verdicts = _measure(streams, args, obs=obs)
+        row, verdicts = _measure(streams, args)
         _verify(verdicts, expected)
         results.append(row)
         mode = f" [durable, fsync={args.fsync}]" if args.durability else ""
-        if args.obs:
-            mode += " [obs]"
         print(
             f"{sessions:>3} sessions x {args.txns} txns{mode}: "
             f"{row['ops_per_second']:>9.0f} ops/s, "

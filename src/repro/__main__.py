@@ -301,8 +301,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         help="serve the metrics registry as a Prometheus text-format "
         "scrape on http://METRICS_HOST:PORT/metrics (0 picks an "
-        "ephemeral port, printed on startup); also enables the "
-        "'metrics' wire frame and per-chunk tracing",
+        "ephemeral port, printed on startup)",
     )
     parser.add_argument(
         "--metrics-host",
@@ -316,8 +315,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="append structured JSON event lines (admission refusals, "
         "quota trips, ladder rungs, checkpoint/restore, fsync stalls, "
-        "slow chunks) to PATH, or '-' for stdout; also enables metrics "
-        "and tracing",
+        "slow chunks) to PATH, or '-' for stdout",
     )
     parser.add_argument(
         "--log-level",
@@ -342,8 +340,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="keep the last N per-chunk span trees in memory, browsable "
-        "at /traces on the metrics port (default: 256 when telemetry "
-        "is on)",
+        "at /traces on the metrics port (default: 256)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress startup/drain lines"
@@ -537,24 +534,17 @@ def _serve_main(argv: Optional[List[str]]) -> int:
         parser.error("--slow-chunk-ms must be positive")
     if args.trace_chunks is not None and args.trace_chunks <= 0:
         parser.error("--trace-chunks must be positive")
-    obs = None
-    telemetry = (
-        args.metrics_port is not None
-        or args.log_json is not None
-        or args.slow_chunk_ms is not None
-        or args.trace_chunks is not None
-    )
-    if telemetry:
-        from .obs import DEFAULT_TRACE_CAPACITY, Observability, open_event_log
+    from .obs import DEFAULT_TRACE_CAPACITY, Observability, open_event_log
 
-        events = None
-        if args.log_json is not None:
-            events = open_event_log(args.log_json, level=args.log_level)
-        obs = Observability.enabled(
-            events=events,
-            slow_chunk_ms=args.slow_chunk_ms,
-            trace_capacity=args.trace_chunks or DEFAULT_TRACE_CAPACITY,
-        )
+    # One telemetry bundle, threaded through every layer of the daemon.
+    events = None
+    if args.log_json is not None:
+        events = open_event_log(args.log_json, level=args.log_level)
+    obs = Observability(
+        events=events,
+        slow_chunk_ms=args.slow_chunk_ms,
+        trace_capacity=args.trace_chunks or DEFAULT_TRACE_CAPACITY,
+    )
     default_limits = None
     if (
         args.session_max_ops is not None
@@ -612,8 +602,7 @@ def _serve_main(argv: Optional[List[str]]) -> int:
             )
         )
     finally:
-        if obs is not None:
-            obs.close()
+        obs.close()
     return 0
 
 

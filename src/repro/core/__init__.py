@@ -50,7 +50,7 @@ from .objects import (
     trace,
 )
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile
+from ..profiling import Profile
 from .validate import validate_workload
 from .version_order import KeyOrder, committed_reads_by_key, infer_key_orders
 

@@ -44,8 +44,8 @@ from .cycle_search import find_cycle_anomalies
 from .explain import render_cycle
 from .gcpause import paused_gc
 from .list_append import analyze_list_append
-from .profiling import Profile
-from .profiling import stage as _stage
+from ..profiling import Profile
+from ..profiling import stage as _stage
 from .rw_register import analyze_rw_register
 
 #: Registered analyzers: workload name -> analyze function.
@@ -176,7 +176,7 @@ def check(
     control the §5.1 order inference; disable ``realtime_edges`` when the
     database makes no real-time claims.  ``profile``, when
     given, collects per-stage timings and SCC counters (see
-    :mod:`repro.core.profiling`; ``python -m repro --profile`` prints
+    :mod:`repro.profiling`; ``python -m repro --profile`` prints
     them).  Extra keyword options pass through to the analyzer (e.g.
     ``sources`` for rw-register).
     """

@@ -45,7 +45,7 @@ from .keyspace import (
     register_plan,
 )
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile, stage
+from ..profiling import Profile, stage
 from .validate import validate_workload_indexed
 
 

@@ -47,7 +47,7 @@ from .anomalies import (
     CycleAnomaly,
 )
 from .deps import PROCESS, REALTIME, RW, TIMESTAMP, WR, WW
-from .profiling import Profile
+from ..profiling import Profile, stage
 
 #: Priority order for classifying an edge's contribution to a cycle.
 _BIT_PRIORITY = (WW, WR, RW, PROCESS, REALTIME, TIMESTAMP)
@@ -238,13 +238,10 @@ def _refined_components(
             parent = None
         else:
             parent = cache[parent_mask & label_union]
-        if profile is not None:
-            with profile.stage(f"scc/{family_name}"):
-                cache[eff] = _decompose(
-                    csr, eff, parent, parent_mask is None, profile
-                )
-        else:
-            cache[eff] = _decompose(csr, eff, parent, parent_mask is None, None)
+        with stage(profile, f"scc/{family_name}"):
+            cache[eff] = _decompose(
+                csr, eff, parent, parent_mask is None, profile
+            )
     return cache
 
 

@@ -79,7 +79,7 @@ from .consistency import SERIALIZABLE, _validate as _validate_model
 from .gcpause import paused_gc
 from .keyspace import PHASE_INTERNAL, PLANS, Batch, _merge
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile, stage
+from ..profiling import Profile, stage
 from .validate import validate_workload
 
 
@@ -189,9 +189,9 @@ class StreamingChecker:
         """Ingest one chunk and return the refreshed prefix verdict.
 
         ``profile`` overrides the checker's long-lived profile for this
-        one chunk — the service's per-chunk tracer threads a fresh
-        :class:`~repro.obs.tracing.SpanProfile` through each slice
-        without touching checker state (checkpoints never carry it).
+        one chunk — the service threads a fresh :class:`Profile` through
+        each slice, whose span tree becomes the chunk's trace, without
+        touching checker state (checkpoints never carry it).
         """
         if self._error is not None:
             raise self._error

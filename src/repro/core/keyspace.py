@@ -45,7 +45,7 @@ from ..history.index import HistoryIndex
 from .analysis import Analysis, EdgeKey, Evidence
 from .anomalies import Anomaly
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
-from .profiling import Profile, stage
+from ..profiling import Profile, stage
 
 #: Histories below this size run the classic per-key path: the columnar
 #: pass has fixed setup cost (column builds, screens) that only pays off

@@ -46,25 +46,13 @@ result cache on it.
 from __future__ import annotations
 
 import weakref
-from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import RetiredKeyError, WorkloadError
+from ..profiling import stage
 from .ops import OpType, READ, MicroOp, Transaction
-
-
-def _stage(profile, name: str):
-    """``profile.stage(name)`` or a no-op context when profiling is off.
-
-    A local twin of :func:`repro.core.profiling.stage` (duck-typed on the
-    profile's ``stage`` method) — the history layer cannot import from
-    :mod:`repro.core` without inverting the package layering.
-    """
-    if profile is None:
-        return nullcontext()
-    return profile.stage(name)
 
 #: One positioned micro-op: (transaction, mop position within it, micro-op).
 #: The object-level view; slices *store* parallel int arrays instead.
@@ -512,12 +500,12 @@ class HistoryIndex:
         #: order -> (clock, IndexColumns): the cached whole-index column
         #: views, rebuilt when the mutation clock moves.  Not pickled.
         self._columns: Dict[str, Tuple[int, IndexColumns]] = {}
-        with _stage(profile, "index/scan"):
+        with stage(profile, "index/scan"):
             self._register_txns(0, self.transactions)
             scan = self._scan_txn
             for pos, txn in enumerate(self.transactions):
                 scan(pos, txn)
-        with _stage(profile, "index/orders"):
+        with stage(profile, "index/orders"):
             self._regenerate_orders()
         if profile is not None:
             profile.count("index.txns", len(self.transactions))

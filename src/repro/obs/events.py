@@ -80,11 +80,6 @@ class EventLog:
         self.emitted = 0
         self.suppressed_total = 0
 
-    def enabled(self, level: str) -> bool:
-        """True when events at ``level`` would be written (pre-flight
-        check callers use to skip expensive context assembly)."""
-        return LEVELS.get(level, 0) >= self._threshold
-
     def emit(self, event: str, level: str = "info", **fields: Any) -> bool:
         """Write one event line; returns False when filtered or limited."""
         severity = LEVELS.get(level)

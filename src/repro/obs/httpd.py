@@ -17,8 +17,8 @@ the request line plus headers, answers, and closes.  Routes:
     for infrastructure that only speaks HTTP.
 
 ``GET /traces``
-    The chunk tracer's ring buffer as JSON (newest last), when tracing
-    is enabled; ``?session=ID`` filters, ``?limit=N`` truncates.
+    The chunk tracer's ring buffer as JSON (newest last);
+    ``?session=ID`` filters, ``?limit=N`` keeps the newest N.
 
 Anything else is ``404``; malformed or oversized requests get ``400``.
 Responses always carry ``Connection: close`` — scrapes are one-shot, and
@@ -49,7 +49,7 @@ class MetricsExporter:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        tracer=None,
+        tracer,
         health=None,
     ) -> None:
         self.registry = registry
@@ -142,7 +142,7 @@ class MetricsExporter:
                 _CONTENT_TYPE_JSON,
                 json.dumps(record, separators=(",", ":")) + "\n",
             )
-        if path == "/traces" and self.tracer is not None:
+        if path == "/traces":
             query = parse_qs(split.query)
             session = (query.get("session") or [None])[0]
             limit_text = (query.get("limit") or [None])[0]

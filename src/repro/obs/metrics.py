@@ -7,10 +7,10 @@ reconstruct them from bench JSON afterwards.  This module is the whole
 metrics substrate — stdlib only, no client library:
 
 * :class:`Counter` — monotonically increasing totals;
-* :class:`Gauge` — set/inc/dec instantaneous values, or *callback* gauges
-  evaluated at scrape time (``registry.gauge(..., fn=...)``) so values
-  like "resident ops right now" are read from the source of truth
-  instead of being mirrored on every mutation;
+* gauges — *callback* gauges evaluated at scrape time
+  (``registry.gauge(name, help, fn)``), so values like "resident ops
+  right now" are read from the source of truth instead of being mirrored
+  on every mutation;
 * :class:`Histogram` — fixed-bucket cumulative histograms (Prometheus
   ``le`` semantics: a bucket counts observations ``<=`` its bound).
 
@@ -32,9 +32,7 @@ A single registry :class:`threading.RLock` guards family creation, child
 creation, every observation, and exposition — scrapes interleave safely
 with the analyzer thread (``BackgroundService`` runs the daemon on its own
 thread; tests scrape from another).  The cost is one uncontended lock
-acquire per observation, nanoseconds next to a chunk analysis; when
-observability is disabled no instrument exists at all and the hot path
-never pays anything.
+acquire per observation, nanoseconds next to a chunk analysis.
 """
 
 from __future__ import annotations
@@ -114,26 +112,6 @@ class CounterChild(_Child):
             self.value += amount
 
 
-class GaugeChild(_Child):
-    __slots__ = ("value",)
-
-    def __init__(self, lock: threading.RLock) -> None:
-        super().__init__(lock)
-        self.value = 0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value -= amount
-
-
 class HistogramChild(_Child):
     __slots__ = ("buckets", "counts", "total", "count")
 
@@ -164,23 +142,6 @@ class HistogramChild(_Child):
         out.append(self.count)  # le="+Inf"
         return out
 
-    def quantile(self, q: float) -> float:
-        """A linear-interpolated quantile estimate from the buckets."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        running = 0
-        lower = 0.0
-        for bound, count in zip(self.buckets, self.counts):
-            if running + count >= rank and count:
-                fraction = (rank - running) / count
-                return lower + (bound - lower) * fraction
-            running += count
-            lower = bound
-        return self.buckets[-1] if self.buckets else 0.0
-
 
 class MetricFamily:
     """One named metric: its type, help text, labels, and child series."""
@@ -210,8 +171,6 @@ class MetricFamily:
         lock = self.registry._lock
         if self.kind == "histogram":
             return HistogramChild(lock, self.buckets)
-        if self.kind == "gauge":
-            return GaugeChild(lock)
         return CounterChild(lock)
 
     def labels(self, *values: Any) -> Any:
@@ -254,12 +213,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1) -> None:
         self._solo().inc(amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self._solo().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
 
     def observe(self, value: float) -> None:
         self._solo().observe(value)
@@ -323,15 +276,10 @@ class MetricsRegistry:
         return self._register(name, "counter", help_text, labelnames)
 
     def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        fn: Optional[Callable[[], float]] = None,
+        self, name: str, help_text: str, fn: Callable[[], float]
     ) -> MetricFamily:
-        if fn is not None and labelnames:
-            raise ValueError("callback gauges cannot be labelled")
-        return self._register(name, "gauge", help_text, labelnames, fn=fn)
+        """A callback gauge: ``fn()`` is read at every scrape."""
+        return self._register(name, "gauge", help_text, (), fn=fn)
 
     def histogram(
         self,

@@ -1,20 +1,19 @@
 """Per-chunk trace spans: the checking pipeline as a tree, not a total.
 
-The profiler (:mod:`repro.core.profiling`) answers "where did this whole
+A whole-run :class:`~repro.profiling.Profile` answers "where did this
 run spend its time"; an operator staring at one slow session needs the
-per-*chunk* version — which stage of which chunk stalled.  This module
-records exactly that, reusing the existing instrumentation points:
+per-*chunk* version — which stage of which chunk stalled.  The service
+threads a fresh profile through every analyzed chunk, and the profile's
+span tree (every ``stage()`` block nested under whatever stage was open
+when it began) already holds that answer: the checker's ``stream/ingest``
+/ ``index/scan`` / ``analyze/columnar-screen`` stages appear as children
+without a single hot-path change.
 
-* :class:`SpanProfile` is a :class:`~repro.core.profiling.Profile` whose
-  ``stage()`` blocks also record a **span tree** — every stage becomes a
-  span, nested under whatever stage was active when it opened, so the
-  checker's ``stream/ingest`` / ``index/scan`` / ``analyze/columnar-
-  screen`` stages appear as children without a single hot-path change;
-* :class:`ChunkTracer` keeps the last N chunk traces in a bounded ring
-  buffer and, when a chunk's wall-clock cost crosses ``slow_chunk_ms``,
-  dumps the offending span tree to the structured event log (level
-  ``warn``, event ``slow-chunk``) — the tail latency *and its anatomy*
-  land in the log at the moment they happen.
+:class:`ChunkTracer` keeps the last N chunk traces in a bounded ring
+buffer and, when a chunk's wall-clock cost crosses ``slow_chunk_ms``,
+dumps the offending span tree to the structured event log (level
+``warn``, event ``slow-chunk``) — the tail latency *and its anatomy* land
+in the log at the moment they happen.
 
 A trace record is JSON-shaped end to end::
 
@@ -37,44 +36,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ..core.profiling import Profile
+from ..profiling import Profile
 from .events import EventLog
 
 #: Default ring-buffer capacity (chunk traces retained).
 DEFAULT_TRACE_CAPACITY = 256
-
-
-class SpanProfile(Profile):
-    """A profile that additionally records its stages as a span tree.
-
-    Drop-in wherever a :class:`Profile` is accepted: the flat
-    ``stages``/``counters`` accumulate exactly as before (so ``--profile``
-    reports stay correct when layered on top), and ``spans`` holds the
-    tree — a list of root span dicts, each ``{"name", "ms"}`` plus
-    ``"children"`` when nested stages ran inside it.
-    """
-
-    __slots__ = ("spans", "_span_stack")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.spans: List[Dict[str, Any]] = []
-        self._span_stack: List[Dict[str, Any]] = []
-
-    def _enter(self, name: str) -> None:
-        span: Dict[str, Any] = {"name": name, "ms": 0.0}
-        if self._span_stack:
-            parent = self._span_stack[-1]
-            parent.setdefault("children", []).append(span)
-        else:
-            self.spans.append(span)
-        self._span_stack.append(span)
-        super()._enter(name)
-
-    def _exit(self, name: str, elapsed: float) -> None:
-        span = self._span_stack.pop()
-        span["ms"] = round(span["ms"] + elapsed * 1000.0, 3)
-        super()._exit(name, elapsed)
 
 
 class ChunkTracer:
@@ -97,10 +63,6 @@ class ChunkTracer:
         self.chunks_traced = 0
         self.slow_chunks = 0
 
-    def chunk_profile(self) -> SpanProfile:
-        """A fresh per-chunk profile to thread into one checker extend."""
-        return SpanProfile()
-
     def record(
         self,
         *,
@@ -109,7 +71,7 @@ class ChunkTracer:
         ops: int,
         txns: int,
         elapsed_seconds: float,
-        profile: Optional[SpanProfile] = None,
+        profile: Optional[Profile] = None,
         pre_spans: Optional[List[Dict[str, Any]]] = None,
     ) -> Dict[str, Any]:
         """Fold one analyzed chunk into the ring; dump it when slow.
@@ -168,7 +130,8 @@ class ChunkTracer:
             if session is None or trace["session"] == session
         ]
         if limit is not None:
-            traces = traces[-limit:]
+            # Not ``traces[-limit:]``: ``-0 == 0`` would return them all.
+            traces = traces[max(0, len(traces) - limit):]
         return traces
 
 

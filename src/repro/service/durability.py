@@ -144,9 +144,9 @@ class SessionStore:
         self,
         root: str,
         session_id: str,
+        obs: Observability,
         fsync: str = "batch",
         keep_checkpoints: int = 2,
-        obs: Optional[Observability] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ServiceError(
@@ -206,9 +206,7 @@ class SessionStore:
         self._wal.flush()  # out of the process: survives kill -9
         self._wal_dirty = True
         self.wal_batches += 1
-        obs = self.obs
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.wal_appends_total.inc()
+        self.obs.metrics.wal_appends_total.inc()
         if self.fsync == "always":
             self.sync()
 
@@ -218,18 +216,15 @@ class SessionStore:
             begin = perf_counter()
             os.fsync(self._wal.fileno())
             elapsed = perf_counter() - begin
-            obs = self.obs
-            if obs is not None:
-                if obs.metrics is not None:
-                    obs.metrics.wal_fsync_seconds.observe(elapsed)
-                if elapsed >= FSYNC_STALL_SECONDS:
-                    obs.emit(
-                        "wal-fsync-stall",
-                        level="warn",
-                        session=self.session_id,
-                        ms=round(elapsed * 1000.0, 3),
-                        threshold_ms=FSYNC_STALL_SECONDS * 1000.0,
-                    )
+            self.obs.metrics.wal_fsync_seconds.observe(elapsed)
+            if elapsed >= FSYNC_STALL_SECONDS:
+                self.obs.emit(
+                    "wal-fsync-stall",
+                    level="warn",
+                    session=self.session_id,
+                    ms=round(elapsed * 1000.0, 3),
+                    threshold_ms=FSYNC_STALL_SECONDS * 1000.0,
+                )
         self._wal_dirty = False
 
     def replay_wal(self) -> Tuple[int, List[Tuple[int, List[Op]]]]:
@@ -312,18 +307,16 @@ class SessionStore:
         _atomic_write_bytes(path, blob, fsync=self.fsync != "never")
         elapsed = perf_counter() - begin
         self.checkpoints_written += 1
-        obs = self.obs
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.checkpoints_written_total.inc()
-                obs.metrics.checkpoint_seconds.observe(elapsed)
-                obs.metrics.checkpoint_bytes.observe(len(blob))
-            obs.emit(
-                "checkpoint",
-                session=self.session_id,
-                bytes=len(blob),
-                ms=round(elapsed * 1000.0, 3),
-            )
+        metrics = self.obs.metrics
+        metrics.checkpoints_written_total.inc()
+        metrics.checkpoint_seconds.observe(elapsed)
+        metrics.checkpoint_bytes.observe(len(blob))
+        self.obs.emit(
+            "checkpoint",
+            session=self.session_id,
+            bytes=len(blob),
+            ms=round(elapsed * 1000.0, 3),
+        )
         for stale in self.checkpoint_paths()[self.keep_checkpoints:]:
             try:
                 os.unlink(stale)
@@ -424,7 +417,9 @@ class DurabilityManager:
         self.checkpoint_every = checkpoint_every
         self.fsync = fsync
         self.keep_checkpoints = keep_checkpoints
-        self.obs = obs
+        #: The telemetry bundle every session store reports into
+        #: (``None`` builds a default one).
+        self.obs = obs or Observability()
         self.sessions_dir = os.path.join(data_dir, "sessions")
         os.makedirs(self.sessions_dir, exist_ok=True)
         self._stores: Dict[str, SessionStore] = {}
@@ -439,9 +434,9 @@ class DurabilityManager:
             store = SessionStore(
                 self.sessions_dir,
                 session_id,
+                self.obs,
                 fsync=self.fsync,
                 keep_checkpoints=self.keep_checkpoints,
-                obs=self.obs,
             )
             self._stores[session_id] = store
         return store
@@ -542,18 +537,15 @@ class DurabilityManager:
             registry.close(session_id)
             raise
         self.sessions_recovered += 1
-        obs = self.obs
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.sessions_recovered_total.inc()
-            obs.emit(
-                "session-restore",
-                session=session_id,
-                checkpoint=payload is not None,
-                wal_batches=len(batches),
-                backlog=session.backlog,
-                applied_seq=session.applied_seq,
-            )
+        self.obs.metrics.sessions_recovered_total.inc()
+        self.obs.emit(
+            "session-restore",
+            session=session_id,
+            checkpoint=payload is not None,
+            wal_batches=len(batches),
+            backlog=session.backlog,
+            applied_seq=session.applied_seq,
+        )
         return session
 
     def drop(self, session_id: str, destroy: bool = False) -> None:

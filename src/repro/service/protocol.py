@@ -58,9 +58,9 @@ Request frames (client to server):
     ``{"type": "metrics"}`` — the daemon's whole metrics registry as a
     JSON snapshot (the wire twin of the ``/metrics`` Prometheus scrape):
     every family with its type, help text, and labelled samples;
-    histograms carry cumulative buckets keyed by upper bound.  On a
-    daemon running without ``--metrics-port``/``--log-json`` the reply
-    is ``{"type": "metrics", "enabled": false}``.
+    histograms carry cumulative buckets keyed by upper bound — plus a
+    ``traces`` block (chunks traced, slow chunks, ring capacity).  Every
+    daemon answers it: telemetry is always on.
 
 ``ping``
     ``{"type": "ping"}`` — health check.  Reply: ``pong`` with

@@ -71,20 +71,20 @@ class CheckerService:
             raise ServiceError("need a TCP port and/or a unix socket path")
         if max_frame_bytes <= 0:
             raise ServiceError("max_frame_bytes must be positive")
-        if metrics_port is not None and (
-            obs is None or obs.registry is None
-        ):
-            raise ServiceError(
-                "metrics_port needs an Observability with a registry"
-            )
-        self.registry = registry if registry is not None else SessionRegistry()
+        if registry is None:
+            registry = SessionRegistry(obs=obs)
+        self.registry = registry
         self.host = host
         self.port = port
         self.unix_path = unix_path
         self.stats_path = stats_path
         self.durability = durability
         self.max_frame_bytes = max_frame_bytes
-        self.obs = obs
+        #: One bundle serves the daemon: the builder passes the same
+        #: ``obs`` to the registry, durability and the service (as
+        #: ``python -m repro serve`` does); without one, the service
+        #: reports through its registry's.
+        self.obs = obs or registry.obs
         self.metrics_host = metrics_host
         self.metrics_port = metrics_port
         self.exporter: Optional[MetricsExporter] = None
@@ -98,16 +98,7 @@ class CheckerService:
         self._progress = asyncio.Condition()
         self._draining = False
         self._stopped = asyncio.Event()
-        if obs is not None:
-            # One bundle for the whole stack: the registry and durability
-            # layers inherit the server's instruments unless a test wired
-            # their own.
-            if self.registry.obs is None:
-                self.registry.obs = obs
-            if durability is not None and durability.obs is None:
-                durability.obs = obs
-            if obs.registry is not None:
-                self._register_gauges(obs.registry)
+        self._register_gauges(self.obs.registry)
         if durability is not None:
             # Idle eviction must leave a restorable session behind: the
             # final checkpoint covers everything analyzed (eviction only
@@ -191,16 +182,13 @@ class CheckerService:
                 health=self._pong,
             )
             self.metrics_port = await self.exporter.start()
-        if self.obs is not None:
-            self.obs.emit(
-                "serve-start",
-                addresses=list(self.addresses),
-                metrics=(
-                    self.exporter.address
-                    if self.exporter is not None
-                    else None
-                ),
-            )
+        self.obs.emit(
+            "serve-start",
+            addresses=list(self.addresses),
+            metrics=(
+                self.exporter.address if self.exporter is not None else None
+            ),
+        )
         self._tasks.append(asyncio.create_task(self._analyze_loop()))
         self._tasks.append(asyncio.create_task(self._evict_loop()))
         return self.addresses
@@ -211,14 +199,11 @@ class CheckerService:
             await self._stopped.wait()
             return self.stats_record()
         self._draining = True
-        if self.obs is not None:
-            self.obs.emit(
-                "drain-begin",
-                sessions=len(self.registry.sessions),
-                backlog=sum(
-                    s.backlog for s in self.registry.sessions.values()
-                ),
-            )
+        self.obs.emit(
+            "drain-begin",
+            sessions=len(self.registry.sessions),
+            backlog=sum(s.backlog for s in self.registry.sessions.values()),
+        )
         for server in self._servers:
             server.close()
         for server in self._servers:
@@ -265,14 +250,13 @@ class CheckerService:
             with open(self.stats_path, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2)
                 fh.write("\n")
-        if self.obs is not None:
-            summary = record["server"]
-            self.obs.emit(
-                "drain-complete",
-                sessions_opened=summary["sessions_opened"],
-                ops_ingested=summary["ops_ingested"],
-                chunks_checked=summary["chunks_checked"],
-            )
+        summary = record["server"]
+        self.obs.emit(
+            "drain-complete",
+            sessions_opened=summary["sessions_opened"],
+            ops_ingested=summary["ops_ingested"],
+            chunks_checked=summary["chunks_checked"],
+        )
         # The exporter outlives the listeners on purpose — a scrape racing
         # the drain still answers — and stops only once the final stats
         # snapshot exists.
@@ -478,10 +462,7 @@ class CheckerService:
         self, code: str, session_id: Any, message: str
     ) -> None:
         obs = self.obs
-        if obs is None:
-            return
-        if obs.metrics is not None:
-            obs.metrics.frame_errors_total.labels(code).inc()
+        obs.metrics.frame_errors_total.labels(code).inc()
         obs.emit(
             "frame-error",
             level="warn",
@@ -492,9 +473,7 @@ class CheckerService:
 
     async def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         kind = request_type(frame)
-        obs = self.obs
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.frames_total.labels(kind).inc()
+        self.obs.metrics.frames_total.labels(kind).inc()
         if self._draining and kind in ("open", "append"):
             raise ServiceError(
                 "server is draining; no new work accepted", code="draining"
@@ -539,26 +518,24 @@ class CheckerService:
 
         The JSON twin of the ``/metrics`` scrape, for clients already on
         the frame socket (no second port needed).  Answered even while
-        draining, like ``ping`` and ``stats``.
+        draining, like ``ping`` and ``stats``.  ``enabled`` is always
+        true; it stays in the reply for clients that check it.
         """
-        obs = self.obs
-        if obs is None or obs.registry is None:
-            return {"type": "metrics", "enabled": False}
+        tracer = self.obs.tracer
         reply: Dict[str, Any] = {
             "type": "metrics",
             "enabled": True,
             "uptime_seconds": round(self.uptime_seconds(), 3),
-            "families": obs.registry.snapshot(),
+            "families": self.obs.registry.snapshot(),
+            "traces": {
+                "chunks_traced": tracer.chunks_traced,
+                "slow_chunks": tracer.slow_chunks,
+                "capacity": tracer.capacity,
+                "slow_chunk_ms": tracer.slow_chunk_ms,
+            },
         }
         if self.exporter is not None:
             reply["scrape_address"] = self.exporter.address
-        if obs.tracer is not None:
-            reply["traces"] = {
-                "chunks_traced": obs.tracer.chunks_traced,
-                "slow_chunks": obs.tracer.slow_chunks,
-                "capacity": obs.tracer.capacity,
-                "slow_chunk_ms": obs.tracer.slow_chunk_ms,
-            }
         return reply
 
     def _open(self, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -679,15 +656,14 @@ class CheckerService:
 
     async def _append(self, session, frame: Dict[str, Any]) -> Dict[str, Any]:
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        decode_begin = perf_counter() if tracer is not None else 0.0
+        tracer = obs.tracer
+        decode_begin = perf_counter()
         ops = decode_ops(frame.get("ops", ()))
-        if tracer is not None:
-            # Parked on the session; the next analyzed chunk's trace
-            # carries them as spans preceding ``analyze``.
-            session.trace_spans.append(
-                tracer.span("decode", perf_counter() - decode_begin)
-            )
+        # Parked on the session; the next analyzed chunk's trace carries
+        # them as spans preceding ``analyze``.
+        session.trace_spans.append(
+            tracer.span("decode", perf_counter() - decode_begin)
+        )
         seq = frame.get("seq")
         if seq is not None and (
             not isinstance(seq, int) or isinstance(seq, bool) or seq <= 0
@@ -710,11 +686,10 @@ class CheckerService:
                 if wait_begin is None:
                     wait_begin = perf_counter()
                 await self._progress.wait()
-        if wait_begin is not None and obs is not None:
+        if wait_begin is not None:
             waited = perf_counter() - wait_begin
-            if obs.metrics is not None:
-                obs.metrics.backpressure_waits_total.inc()
-                obs.metrics.backpressure_wait_seconds.observe(waited)
+            obs.metrics.backpressure_waits_total.inc()
+            obs.metrics.backpressure_wait_seconds.observe(waited)
             obs.emit(
                 "backpressure",
                 level="debug",
@@ -752,14 +727,11 @@ class CheckerService:
             # survive a crash, so they hit the journal (flushed, and
             # fsynced per policy) before they are even buffered.
             self.durability.log_append(session, seq, fresh)
-        if tracer is not None:
-            buffer_begin = perf_counter()
-            self.registry.append(session.id, fresh)
-            session.trace_spans.append(
-                tracer.span("buffer", perf_counter() - buffer_begin)
-            )
-        else:
-            self.registry.append(session.id, fresh)
+        buffer_begin = perf_counter()
+        self.registry.append(session.id, fresh)
+        session.trace_spans.append(
+            tracer.span("buffer", perf_counter() - buffer_begin)
+        )
         session.applied_seq = seq
         self._work.set()
         reply = {
@@ -820,9 +792,10 @@ async def serve(
     ``ready``, when given, is called with the service once the listeners
     are bound (tests use it to learn ephemeral ports).  ``durability``
     makes every session crash-recoverable (see
-    :mod:`repro.service.durability`).  ``obs`` switches on the telemetry
-    stack (:mod:`repro.obs`); ``metrics_port`` additionally serves its
-    registry as a Prometheus scrape on ``metrics_host``.
+    :mod:`repro.service.durability`).  ``obs`` is the daemon's telemetry
+    bundle (:mod:`repro.obs`; the registry's when omitted);
+    ``metrics_port`` additionally serves its registry as a Prometheus
+    scrape on ``metrics_host``.
     """
     service = CheckerService(
         registry,

@@ -71,6 +71,7 @@ from ..core.incremental import StreamingChecker, StreamUpdate
 from ..errors import ServiceError
 from ..history.ops import Op
 from ..obs import Observability, percentiles
+from ..profiling import Profile
 
 #: Default operations per analysis slice (and per incremental re-check).
 DEFAULT_CHUNK_OPS = 1000
@@ -146,7 +147,9 @@ class Session:
         self.id = session_id
         self.config = config
         self._clock = clock
-        self.obs = obs
+        #: The telemetry bundle: the registry passes its one bundle to
+        #: every session it opens; ``None`` builds a default one.
+        self.obs = obs or Observability()
         # Workload/model validation happens here, so a bad ``open`` frame
         # fails before the registry ever records the session.
         options = dict(config.options)
@@ -269,9 +272,7 @@ class Session:
             )
         self.pending.extend(ops)
         self.ops_ingested += len(ops)
-        obs = self.obs
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.ops_ingested_total.labels(self.id).inc(len(ops))
+        self.obs.metrics.ops_ingested_total.labels(self.id).inc(len(ops))
         if ops:
             self.last_buffered_index = max(
                 self.last_buffered_index, ops[-1].index
@@ -281,19 +282,16 @@ class Session:
     def _trip_quota(self, quota: str, limit: Any) -> None:
         """Book one quota refusal (counter, metric, event)."""
         self.quota_trips += 1
-        obs = self.obs
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.quota_trips_total.labels(quota).inc()
-            obs.emit(
-                "quota-trip",
-                level="warn",
-                session=self.id,
-                quota=quota,
-                limit=limit,
-                ops_ingested=self.ops_ingested,
-                analyze_seconds=round(self.analyze_seconds, 4),
-            )
+        self.obs.metrics.quota_trips_total.labels(quota).inc()
+        self.obs.emit(
+            "quota-trip",
+            level="warn",
+            session=self.id,
+            quota=quota,
+            limit=limit,
+            ops_ingested=self.ops_ingested,
+            analyze_seconds=round(self.analyze_seconds, 4),
+        )
 
     def dedupe_ops(self, ops: Sequence[Op]) -> List[Op]:
         """Drop operations this session has already accepted.
@@ -321,10 +319,7 @@ class Session:
         take = min(len(self.pending), self.config.chunk_ops)
         chunk = [self.pending.popleft() for _ in range(take)]
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        chunk_profile = (
-            tracer.chunk_profile() if tracer is not None else None
-        )
+        chunk_profile = Profile()
         pre_spans = list(self.trace_spans)
         self.trace_spans.clear()
         begin = self._clock()
@@ -335,24 +330,18 @@ class Session:
                 # after each slice, fold the settled prefix (sparing the
                 # newest N transactions) so a forever-stream's resident
                 # state tracks its active window, not its age.
-                if chunk_profile is not None:
-                    with chunk_profile.stage("retire"):
-                        self.retire(
-                            min_idle_txns=self.config.retire_idle_txns
-                        )
-                else:
+                with chunk_profile.stage("retire"):
                     self.retire(min_idle_txns=self.config.retire_idle_txns)
         except BaseException as exc:
             self.error = exc
             self.pending.clear()
-            if obs is not None:
-                obs.emit(
-                    "session-poisoned",
-                    level="error",
-                    session=self.id,
-                    chunk=self.chunks_checked,
-                    error=str(exc),
-                )
+            obs.emit(
+                "session-poisoned",
+                level="error",
+                session=self.id,
+                chunk=self.chunks_checked,
+                error=str(exc),
+            )
             raise
         finally:
             elapsed = self._clock() - begin
@@ -364,37 +353,30 @@ class Session:
         self.keys_reused += update.reused_keys
         self.last_update = update
         self.chunk_ms_window.append(elapsed * 1000.0)
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.chunks_checked_total.labels(self.id).inc()
-                obs.metrics.chunk_analyze_seconds.labels(self.id).observe(
-                    elapsed
-                )
-                if update.new_anomalies:
-                    obs.metrics.anomalies_total.inc(
-                        len(update.new_anomalies)
-                    )
-            if update.new_anomalies:
-                obs.emit(
-                    "anomalies",
-                    level="warn",
-                    session=self.id,
-                    chunk=update.chunk,
-                    new=len(update.new_anomalies),
-                    total=len(update.result.anomalies),
-                )
-            if tracer is not None:
-                trace = tracer.record(
-                    session=self.id,
-                    chunk=update.chunk,
-                    ops=len(chunk),
-                    txns=update.txns,
-                    elapsed_seconds=elapsed,
-                    profile=chunk_profile,
-                    pre_spans=pre_spans,
-                )
-                if trace["slow"] and obs.metrics is not None:
-                    obs.metrics.slow_chunks_total.inc()
+        metrics = obs.metrics
+        metrics.chunks_checked_total.labels(self.id).inc()
+        metrics.chunk_analyze_seconds.labels(self.id).observe(elapsed)
+        if update.new_anomalies:
+            metrics.anomalies_total.inc(len(update.new_anomalies))
+            obs.emit(
+                "anomalies",
+                level="warn",
+                session=self.id,
+                chunk=update.chunk,
+                new=len(update.new_anomalies),
+                total=len(update.result.anomalies),
+            )
+        trace = obs.tracer.record(
+            session=self.id,
+            chunk=update.chunk,
+            ops=len(chunk),
+            txns=update.txns,
+            elapsed_seconds=elapsed,
+            profile=chunk_profile,
+            pre_spans=pre_spans,
+        )
+        if trace["slow"]:
+            metrics.slow_chunks_total.inc()
         return update
 
     def retire(self, min_idle_txns: int = 0) -> Dict[str, Any]:
@@ -508,7 +490,9 @@ class SessionRegistry:
         #: an ``open`` frame leaves unset are filled from here (the serve
         #: CLI's ``--session-max-ops`` etc. land in this config).
         self.default_limits = default_limits
-        self.obs = obs
+        #: One telemetry bundle for every session this registry opens
+        #: (``None`` builds a default one).
+        self.obs = obs or Observability()
         self.sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._rotation: deque = deque()  # round-robin order of session ids
         self._auto_id = 0
@@ -558,17 +542,15 @@ class SessionRegistry:
             self.relieve_pressure()
             if self.overloaded():
                 self.shed_opens += 1
-                if self.obs is not None:
-                    if self.obs.metrics is not None:
-                        self.obs.metrics.shed_opens_total.inc()
-                    self.obs.emit(
-                        "shed-open",
-                        level="warn",
-                        session=session_id,
-                        est_bytes=self.estimated_bytes(),
-                        watermark=self.max_resident_bytes,
-                        retry_after=self.retry_after_seconds(),
-                    )
+                self.obs.metrics.shed_opens_total.inc()
+                self.obs.emit(
+                    "shed-open",
+                    level="warn",
+                    session=session_id,
+                    est_bytes=self.estimated_bytes(),
+                    watermark=self.max_resident_bytes,
+                    retry_after=self.retry_after_seconds(),
+                )
                 raise ServiceError(
                     "resident memory over watermark "
                     f"({self.estimated_bytes()} > "
@@ -586,15 +568,13 @@ class SessionRegistry:
         self.sessions[session_id] = session
         self._rotation.append(session_id)
         self.sessions_opened += 1
-        if self.obs is not None:
-            if self.obs.metrics is not None:
-                self.obs.metrics.sessions_opened_total.inc()
-            self.obs.emit(
-                "session-open",
-                session=session_id,
-                workload=session.config.workload,
-                model=session.config.consistency_model,
-            )
+        self.obs.metrics.sessions_opened_total.inc()
+        self.obs.emit(
+            "session-open",
+            session=session_id,
+            workload=session.config.workload,
+            model=session.config.consistency_model,
+        )
         return session
 
     def _effective_config(
@@ -639,15 +619,13 @@ class SessionRegistry:
         del self.sessions[session_id]
         self._rotation.remove(session_id)
         self.sessions_closed += 1
-        if self.obs is not None:
-            if self.obs.metrics is not None:
-                self.obs.metrics.sessions_closed_total.inc()
-            self.obs.emit(
-                "session-close",
-                session=session_id,
-                ops_ingested=final["ops_ingested"],
-                chunks_checked=final["chunks_checked"],
-            )
+        self.obs.metrics.sessions_closed_total.inc()
+        self.obs.emit(
+            "session-close",
+            session=session_id,
+            ops_ingested=final["ops_ingested"],
+            chunks_checked=final["chunks_checked"],
+        )
         return final
 
     def evict_idle(self, now: Optional[float] = None) -> List[str]:
@@ -668,14 +646,12 @@ class SessionRegistry:
             session.closed = True
             self._rotation.remove(session_id)
             self.sessions_evicted += 1
-            if self.obs is not None:
-                if self.obs.metrics is not None:
-                    self.obs.metrics.sessions_evicted_total.inc()
-                self.obs.emit(
-                    "session-evict",
-                    session=session_id,
-                    idle_seconds=round(now - session.last_activity, 3),
-                )
+            self.obs.metrics.sessions_evicted_total.inc()
+            self.obs.emit(
+                "session-evict",
+                session=session_id,
+                idle_seconds=round(now - session.last_activity, 3),
+            )
         return victims
 
     # ------------------------------------------------------------------
@@ -809,11 +785,8 @@ class SessionRegistry:
             retired = summary.get("retired_txns", 0)
             actions["retired_txns"] += retired
             self.pressure_retired_txns += retired
-            if retired and self.obs is not None:
-                if self.obs.metrics is not None:
-                    self.obs.metrics.pressure_actions_total.labels(
-                        "retire"
-                    ).inc()
+            if retired:
+                self.obs.metrics.pressure_actions_total.labels("retire").inc()
                 self.obs.emit(
                     "pressure-retire",
                     level="warn",
@@ -839,19 +812,15 @@ class SessionRegistry:
                 self.sessions_evicted += 1
                 self.pressure_evictions += 1
                 actions["evicted"].append(session.id)
-                if self.obs is not None:
-                    if self.obs.metrics is not None:
-                        self.obs.metrics.pressure_actions_total.labels(
-                            "evict"
-                        ).inc()
-                        self.obs.metrics.sessions_evicted_total.inc()
-                    self.obs.emit(
-                        "pressure-evict",
-                        level="warn",
-                        session=session.id,
-                        est_bytes=self.estimated_bytes(),
-                        watermark=self.max_resident_bytes,
-                    )
+                self.obs.metrics.pressure_actions_total.labels("evict").inc()
+                self.obs.metrics.sessions_evicted_total.inc()
+                self.obs.emit(
+                    "pressure-evict",
+                    level="warn",
+                    session=session.id,
+                    est_bytes=self.estimated_bytes(),
+                    watermark=self.max_resident_bytes,
+                )
         return actions
 
     # ------------------------------------------------------------------

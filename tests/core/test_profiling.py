@@ -14,8 +14,31 @@ import pytest
 from repro import check
 from repro.__main__ import main
 from repro.core import Profile
-from repro.core.profiling import stage
+from repro.profiling import stage
 from repro.scenarios import figure4_history
+
+
+class TestLeafModule:
+    def test_profiling_imports_only_the_standard_library(self):
+        # ``history``, ``core`` and ``obs`` all import this module, so it
+        # must import none of them (nor any third-party package).
+        import ast
+        import sys
+
+        import repro.profiling
+
+        with open(repro.profiling.__file__) as handle:
+            tree = ast.parse(handle.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in a leaf module"
+                imported.add(node.module)
+        roots = {name.split(".")[0] for name in imported}
+        assert roots <= set(sys.stdlib_module_names) | {"__future__"}
+        assert Profile is repro.profiling.Profile
 
 
 class TestProfile:

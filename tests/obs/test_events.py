@@ -44,12 +44,6 @@ class TestLevels:
             "trouble", "fire",
         ]
 
-    def test_enabled_preflight(self):
-        log, _, _ = make_log(level="warn")
-        assert not log.enabled("info")
-        assert log.enabled("warn")
-        assert log.enabled("error")
-
     def test_unknown_levels_rejected(self):
         with pytest.raises(ValueError, match="unknown level"):
             EventLog(io.StringIO(), level="loud")

@@ -5,12 +5,13 @@ import json
 
 import pytest
 
-from repro.obs import ChunkTracer, EventLog, SpanProfile, percentiles
+from repro.core import Profile
+from repro.obs import ChunkTracer, EventLog, percentiles
 
 
-class TestSpanProfile:
+class TestProfileSpans:
     def test_nested_stages_become_children(self):
-        profile = SpanProfile()
+        profile = Profile()
         with profile.stage("analyze"):
             with profile.stage("stream/ingest"):
                 pass
@@ -25,7 +26,7 @@ class TestSpanProfile:
         assert root["ms"] >= 0.0
 
     def test_flat_profile_totals_still_accumulate(self):
-        profile = SpanProfile()
+        profile = Profile()
         with profile.stage("a"):
             pass
         with profile.stage("a"):
@@ -48,7 +49,7 @@ class TestChunkTracer:
 
     def test_pre_spans_precede_the_analyze_root(self):
         tracer = ChunkTracer()
-        profile = tracer.chunk_profile()
+        profile = Profile()
         with profile.stage("stream/ingest"):
             pass
         trace = tracer.record(
@@ -100,6 +101,10 @@ class TestChunkTracer:
         assert len(tracer.snapshot(session="b")) == 1
         limited = tracer.snapshot(session="a", limit=2)
         assert [trace["chunk"] for trace in limited] == [1, 2]
+        assert len(tracer.snapshot(limit=10)) == 4
+        # limit=0 asks for no traces, not (via ``traces[-0:]``) all of them.
+        assert tracer.snapshot(limit=0) == []
+        assert tracer.snapshot(session="a", limit=0) == []
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):

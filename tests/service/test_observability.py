@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.obs import EventLog, Observability
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, DurabilityManager, ServiceClient
 from repro.service.client import session_workload
 
 
@@ -41,7 +41,7 @@ def drive_session(address, *, session_id="obs-1", txns=60, seed=3):
 
 class TestLiveScrape:
     def test_loaded_daemon_exposes_documented_series(self):
-        obs = Observability.enabled(slow_chunk_ms=10_000.0)
+        obs = Observability(slow_chunk_ms=10_000.0)
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
             _, verdict, op_count = drive_session(bg.tcp_address)
             assert verdict["type"] == "verdict"
@@ -72,7 +72,7 @@ class TestLiveScrape:
             assert line.startswith("#") or " " in line
 
     def test_healthz_and_traces_endpoints(self):
-        obs = Observability.enabled()
+        obs = Observability()
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
             drive_session(bg.tcp_address)
             status, content_type, body = fetch(
@@ -101,7 +101,7 @@ class TestLiveScrape:
             assert "decode" in names
 
     def test_unknown_route_404_and_bad_limit_400(self):
-        obs = Observability.enabled()
+        obs = Observability()
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 fetch(bg.metrics_address + "/nope")
@@ -113,7 +113,7 @@ class TestLiveScrape:
     def test_concurrent_scrapes_during_load_and_drain(self):
         """Scrapes from other threads interleave with frame traffic, and
         the exporter keeps answering until the drain's final stats."""
-        obs = Observability.enabled()
+        obs = Observability()
         errors = []
         bodies = []
         stop = threading.Event()
@@ -153,7 +153,7 @@ class TestLiveScrape:
 
 class TestWireAndStats:
     def test_metrics_frame_mirrors_the_scrape(self):
-        obs = Observability.enabled()
+        obs = Observability()
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
             with ServiceClient(bg.tcp_address) as client:
                 client.open_session(session_id="wire", chunk_ops=50)
@@ -171,14 +171,46 @@ class TestWireAndStats:
         assert all("+Inf" in sample["buckets"] for sample in buckets)
         assert reply["traces"]["chunks_traced"] >= 0
 
-    def test_metrics_frame_reports_disabled_without_obs(self):
+    def test_bare_daemon_answers_metrics_with_families_and_traces(self):
+        # Telemetry is not an option: a daemon built with no telemetry
+        # arguments still counts, and still traces its chunks.
         with BackgroundService(port=0) as bg:
             with ServiceClient(bg.tcp_address) as client:
+                client.open_session(session_id="bare", chunk_ops=50)
+                client.append("bare", session_workload(txns=30, seed=1))
+                client.verdict("bare")
                 reply = client.request({"type": "metrics"})
-        assert reply == {"type": "metrics", "enabled": False}
+        assert reply["type"] == "metrics"
+        assert reply["enabled"] is True
+        assert "scrape_address" not in reply  # no --metrics-port
+        ingested = reply["families"]["repro_ops_ingested_total"]["samples"]
+        assert ingested[0]["labels"] == {"session": "bare"}
+        assert ingested[0]["value"] > 0
+        assert reply["traces"]["chunks_traced"] > 0
+
+    def test_durable_daemon_reports_every_plane_in_one_reply(self, tmp_path):
+        # The builder threads one bundle through registry, durability and
+        # server, as ``python -m repro serve`` does; a single reply then
+        # carries the frame, session and WAL planes together.
+        obs = Observability()
+        durability = DurabilityManager(str(tmp_path), fsync="never", obs=obs)
+        with BackgroundService(port=0, obs=obs, durability=durability) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.open_session(session_id="durable", chunk_ops=50)
+                client.append("durable", session_workload(txns=30, seed=4))
+                client.verdict("durable")
+                reply = client.request({"type": "metrics"})
+        families = reply["families"]
+
+        def total(name):
+            return sum(sample["value"] for sample in families[name]["samples"])
+
+        assert total("repro_frames_total") > 0
+        assert total("repro_chunks_checked_total") > 0
+        assert total("repro_wal_appends_total") > 0
 
     def test_stats_carry_uptime_and_latency_digest(self):
-        obs = Observability.enabled()
+        obs = Observability()
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
             with ServiceClient(bg.tcp_address) as client:
                 client.open_session(session_id="s", chunk_ops=50)
@@ -227,7 +259,7 @@ class TestWireAndStats:
 class TestEventLogE2E:
     def test_daemon_lifecycle_lands_in_the_event_log(self):
         stream = io.StringIO()
-        obs = Observability.enabled(
+        obs = Observability(
             events=EventLog(stream), slow_chunk_ms=0.0001
         )
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:

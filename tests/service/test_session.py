@@ -104,6 +104,41 @@ class TestSessionLifecycle:
             session.verdict()
         assert "error" in session.stats()
 
+    def test_a_bare_session_counts_and_traces_its_chunks(self):
+        # No bundle passed: the session builds its own and never runs dark.
+        ops = ops_for(txns=20, seed=1)
+        session = Session("s", SessionConfig(chunk_ops=16))
+        session.buffer(ops)
+        while session.has_work:
+            session.analyze_chunk()
+        metrics = session.obs.metrics
+        assert metrics.ops_ingested_total.labels("s").value == len(ops)
+        assert (
+            metrics.chunks_checked_total.labels("s").value
+            == session.chunks_checked
+        )
+        traces = session.obs.tracer.snapshot()
+        assert len(traces) == session.chunks_checked
+        analyze = traces[-1]["spans"][-1]
+        assert analyze["name"] == "analyze"
+        children = [span["name"] for span in analyze["children"]]
+        assert "stream/ingest" in children
+        assert "retire" not in children
+
+    def test_auto_retirement_is_traced_with_its_chunk(self):
+        from repro.service.client import session_workload
+
+        # A rotating keyspace, so retired keys never recur.
+        ops = session_workload(txns=30, seed=2, max_writes_per_key=4)
+        session = Session("s", SessionConfig(chunk_ops=16, retire_idle_txns=5))
+        session.buffer(ops)
+        while session.has_work:
+            session.analyze_chunk()
+        assert session.retire_calls == session.chunks_checked
+        for trace in session.obs.tracer.snapshot():
+            analyze = trace["spans"][-1]
+            assert analyze["children"][-1]["name"] == "retire"
+
     def test_stats_record(self):
         session = Session("s", SessionConfig(chunk_ops=64))
         session.buffer(ops_for(txns=20, seed=1))
@@ -138,6 +173,34 @@ class TestRegistry:
         assert stats["sessions_open"] == 2
         assert stats["sessions_opened"] == 3
         assert stats["sessions_closed"] == 1
+
+    def test_a_bare_registry_shares_its_bundle_with_sessions_and_wal(
+        self, tmp_path
+    ):
+        # Built with no bundle, as perfbench builds them: registry and
+        # durability each make a default one, and every session the
+        # registry opens reports into the registry's.
+        from repro.service import DurabilityManager
+
+        registry = SessionRegistry()
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        session = registry.open(SessionConfig(chunk_ops=16), "s")
+        assert session.obs is registry.obs
+        durability.open_session(session)
+        ops = ops_for(txns=20, seed=1)
+        durability.log_append(session, 1, ops)
+        registry.append("s", ops)
+        while registry.has_work():
+            registry.run_slice()
+        metrics = registry.obs.metrics
+        assert metrics.sessions_opened_total.labels().value == 1
+        assert (
+            metrics.chunks_checked_total.labels("s").value
+            == session.chunks_checked
+            > 0
+        )
+        assert durability.obs.metrics.wal_appends_total.labels().value == 1
+        durability.close()
 
     def test_auto_ids(self):
         registry = SessionRegistry()
