@@ -26,7 +26,10 @@ a unix socket, driven by the load generator with N interleaved sessions
 ``--durability`` runs the same sweep against a *durable* daemon — WAL on
 every append, periodic checkpoints (``--checkpoint-every``), the chosen
 ``--fsync`` policy — so the journal's steady-state overhead is a recorded
-number, not folklore.
+number, not folklore.  Durable rows also record ``checkpoint_ms_mean``
+(the daemon's ``repro_checkpoint_seconds`` histogram: pickle, digest and
+write) and ``gc_full_collections``, the process's generation-2 collections
+during the run (daemon and load generator share the process).
 
 Rows append to ``BENCH_elle_scaling.json`` as ``service_scaling`` runs.
 ``--baseline PATH --tolerance X`` turns the run into a CI regression
@@ -77,6 +80,7 @@ def _batch_expectations(streams, workload):
 
 
 def _measure(streams, args):  # pragma: no cover - manual entry
+    import gc
     import shutil
     import tempfile
 
@@ -102,6 +106,7 @@ def _measure(streams, args):  # pragma: no cover - manual entry
             fsync=args.fsync,
             obs=obs,
         )
+    full_collections = gc.get_stats()[2]["collections"]
     try:
         with BackgroundService(unix_path=sock, port=None, **service_kwargs):
             out = run_load(
@@ -114,6 +119,7 @@ def _measure(streams, args):  # pragma: no cover - manual entry
     finally:
         if data_dir is not None:
             shutil.rmtree(data_dir, ignore_errors=True)
+    full_collections = gc.get_stats()[2]["collections"] - full_collections
     session_stats = out["stats"]["sessions"].values()
     chunks = sum(s["chunks_checked"] for s in session_stats)
     analyze = sum(s["analyze_seconds"] for s in session_stats)
@@ -145,6 +151,14 @@ def _measure(streams, args):  # pragma: no cover - manual entry
     if args.durability:
         row["fsync"] = args.fsync
         row["checkpoint_every"] = args.checkpoint_every
+        checkpoints = obs.metrics.checkpoint_seconds.labels()
+        row["checkpoints"] = checkpoints.count
+        row["checkpoint_ms_mean"] = (
+            round(checkpoints.total / checkpoints.count * 1e3, 3)
+            if checkpoints.count
+            else 0.0
+        )
+        row["gc_full_collections"] = full_collections
     return row, out["verdicts"]
 
 
@@ -533,6 +547,12 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
             f"({row['chunks']} chunks), append p99 "
             f"{row['append_ms_p99']:.1f} ms"
         )
+        if args.durability:
+            print(
+                f"    {row['checkpoints']} checkpoints, mean "
+                f"{row['checkpoint_ms_mean']:.1f} ms; "
+                f"{row['gc_full_collections']} full GC collections"
+            )
 
     violations = (
         _enforce_baseline(results, args.baseline, args.tolerance)

@@ -83,18 +83,40 @@ def encode_op(op: Op) -> dict:
     return record
 
 
+def encode_ops(ops: Iterable[Op]) -> List[dict]:
+    """Operations as wire records (an ``append`` frame's ``ops``)."""
+    return [encode_op(op) for op in ops]
+
+
+#: ``type`` strings to members: a dict hit instead of the enum's lookup.
+_OP_TYPES = {member.value: member for member in OpType}
+
+#: Decoded values that :func:`_decode_value` would return unchanged.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def decode_op(record: dict, line_number: int) -> Op:
     """Invert :func:`encode_op`; ``line_number`` contextualizes errors."""
     try:
         mops = record["value"]
         if mops is not None:
             mops = tuple(
-                MicroOp(fn, _decode_value(key), _decode_value(value))
+                MicroOp(
+                    fn,
+                    key if type(key) in _PLAIN else _decode_value(key),
+                    value if type(value) in _PLAIN else _decode_value(value),
+                )
                 for fn, key, value in mops
             )
+        index = record["index"]
+        kind = record["type"]
+        try:
+            op_type = _OP_TYPES[kind]
+        except (KeyError, TypeError):
+            op_type = OpType(kind)  # raises the enum's own ValueError
         return Op(
-            index=record["index"],
-            type=OpType(record["type"]),
+            index=index,
+            type=op_type,
             process=record["process"],
             value=mops,
             ts=record.get("ts"),

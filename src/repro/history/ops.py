@@ -13,6 +13,14 @@ Terminology follows the paper (§4.2.1) and Jepsen's conventions:
   request that timed out).
 * A **transaction** (:class:`Transaction`) pairs an invocation with its
   completion and is the unit the checker reasons about.
+
+All three pickle positionally: ``__reduce__`` hands back the constructor
+and the fields in declaration order, so unpickling re-runs validation and
+skips the per-object ``fields()`` walk the dataclass-generated
+``__getstate__`` makes.  A service checkpoint holds tens of thousands of
+these objects, and the walk dominated its pickle time.  The generated
+``__setstate__`` stays, so a checkpoint pickled in the older
+``copyreg.__newobj__``-plus-state encoding still restores.
 """
 
 from __future__ import annotations
@@ -78,6 +86,9 @@ class MicroOp:
     def is_write(self) -> bool:
         return self.fn in WRITE_FUNCTIONS
 
+    def __reduce__(self):
+        return (type(self), (self.fn, self.key, self.value))
+
     def __repr__(self) -> str:
         return f"[:{self.fn} {self.key!r} {self.value!r}]"
 
@@ -132,6 +143,12 @@ class Op:
         if self.value is not None and not isinstance(self.value, tuple):
             object.__setattr__(self, "value", tuple(self.value))
 
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.index, self.type, self.process, self.value, self.ts),
+        )
+
     @property
     def is_invoke(self) -> bool:
         return self.type is OpType.INVOKE
@@ -173,6 +190,21 @@ class Transaction:
     def __post_init__(self) -> None:
         if self.type is OpType.INVOKE:
             raise ValueError("a transaction's type must be a completion type")
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (
+                self.id,
+                self.process,
+                self.type,
+                self.mops,
+                self.invoke_index,
+                self.complete_index,
+                self.start_ts,
+                self.commit_ts,
+            ),
+        )
 
     @property
     def committed(self) -> bool:

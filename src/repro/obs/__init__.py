@@ -147,7 +147,7 @@ class Instruments:
         )
         self.checkpoint_seconds = registry.histogram(
             "repro_checkpoint_seconds",
-            "Seconds per checkpoint write (serialize + fsync + rename).",
+            "Seconds per checkpoint: pickle, digest, fsync and rename.",
         )
         self.checkpoint_bytes = registry.histogram(
             "repro_checkpoint_bytes",

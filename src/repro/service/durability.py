@@ -13,8 +13,15 @@ daemon's ``--data-dir`` holding
 
 ``wal.jsonl``
     The write-ahead op journal: one JSON line per acked ``append`` batch,
-    ``{"seq": N, "ops": [...]}``, where the ops are exactly the records
-    :func:`repro.history.io.encode_op` writes to history files.  The line
+    ``{"seq": N, "ops": [...]}``.  The ops are the records the ``append``
+    frame carried, as received, once :func:`~repro.service.protocol.
+    decode_ops` has accepted them and minus any the session deduped, so
+    the daemon encodes each op once, on the wire.  For a frame built by
+    :func:`~repro.history.io.encode_ops` (the client's encoding) those
+    are exactly the records history files hold, and the line's bytes
+    are what re-encoding the decoded ops would give.  Replay runs the
+    same :func:`~repro.history.io.decode_op` over the same records, so
+    recovered ops equal the live ones by construction.  The line
     is written (and, per the fsync policy, synced) *before* the batch is
     buffered or acked, so an acked op is always on disk.  Because a batch
     is one line, a torn tail (the writer died mid-record) loses at most
@@ -27,12 +34,15 @@ daemon's ``--data-dir`` holding
     index columns, cached per-key batches) plus the session's counters.
     Written to a temp file, fsynced, checksummed, and atomically renamed;
     the newest two are kept.  Restart cost is therefore O(WAL tail since
-    the last checkpoint), not O(history).
+    the last checkpoint), not O(history).  Serialization runs with the
+    cyclic collector paused (:mod:`repro.core.gcpause`): pickling a
+    session allocates only acyclic, short-lived buffers, and a collection
+    landing inside it would scan the whole session heap for nothing.
 
-Recovery (:meth:`SessionStore.recover`) is defensive at every step: a
-checkpoint whose magic, checksum, or unpickling fails falls back to the
-next older one, then to a full WAL replay from an empty checker; a torn
-WAL tail is dropped; ops the checkpoint already incorporated are skipped
+Recovery (:meth:`DurabilityManager.recover_session`) is defensive at
+every step: a checkpoint whose magic, checksum, or unpickling fails falls
+back to the next older one, then to a full WAL replay from an empty
+checker; a torn WAL tail is dropped; ops the checkpoint already incorporated are skipped
 by their (strictly increasing) history index.  The recovered session's
 verdict stream is pinned byte-identical to an uninterrupted batch check
 by ``tests/service/test_crash_recovery.py``.
@@ -65,8 +75,9 @@ import tempfile
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.gcpause import paused_gc
 from ..errors import ServiceError
-from ..history.io import decode_op, encode_op, iter_json_lines
+from ..history.io import decode_op, encode_ops, iter_json_lines
 from ..history.ops import Op
 from ..obs import Observability
 
@@ -195,12 +206,16 @@ class SessionStore:
     # ------------------------------------------------------------------
     # The write-ahead log
 
-    def log_append(self, seq: int, ops: List[Op]) -> None:
-        """Journal one acked batch: write (and per policy sync) before the
-        caller buffers or acks it."""
+    def log_records(self, seq: int, records: List[Any]) -> None:
+        """Journal one acked batch of wire records: write (and per policy
+        sync) before the caller buffers or acks it.
+
+        ``records`` must be op records :func:`~repro.history.io.decode_op`
+        accepts; the daemon passes the ones its ``append`` frame carried.
+        """
         if self._wal is None:
             self._wal = open(self.wal_path, "ab")
-        record = {"seq": seq, "ops": [encode_op(op) for op in ops]}
+        record = {"seq": seq, "ops": records}
         line = json.dumps(record, separators=(",", ":")).encode("utf-8")
         self._wal.write(line + b"\n")
         self._wal.flush()  # out of the process: survives kill -9
@@ -209,6 +224,10 @@ class SessionStore:
         self.obs.metrics.wal_appends_total.inc()
         if self.fsync == "always":
             self.sync()
+
+    def log_append(self, seq: int, ops: List[Op]) -> None:
+        """Journal a batch of decoded ops (for callers holding ``Op``s)."""
+        self.log_records(seq, encode_ops(ops))
 
     def sync(self) -> None:
         """fsync pending WAL bytes (no-op under ``never`` or when clean)."""
@@ -281,7 +300,13 @@ class SessionStore:
         Layout: magic, 8-byte big-endian body length, pickled body,
         SHA-256 of the body.  Any torn or bit-flipped file fails the
         length or digest check on load and recovery falls back.
+
+        ``repro_checkpoint_seconds`` and the ``checkpoint`` event's ``ms``
+        time the whole stall the caller sees: pickle, digest, journal
+        sync and the atomic write.  Pickling dominates; the write is a
+        few percent of it.
         """
+        begin = perf_counter()
         existing = self.checkpoint_paths()
         if existing:
             newest = os.path.basename(existing[0])
@@ -303,7 +328,6 @@ class SessionStore:
         # cache while the checkpoint itself is still in flight: sync the
         # journal first, then the checkpoint.
         self.sync()
-        begin = perf_counter()
         _atomic_write_bytes(path, blob, fsync=self.fsync != "never")
         elapsed = perf_counter() - begin
         self.checkpoints_written += 1
@@ -418,7 +442,8 @@ class DurabilityManager:
         self.fsync = fsync
         self.keep_checkpoints = keep_checkpoints
         #: The telemetry bundle every session store reports into
-        #: (``None`` builds a default one).
+        #: (``None`` builds a default one; a service adopts the manager
+        #: into its own bundle, see :meth:`report_into`).
         self.obs = obs or Observability()
         self.sessions_dir = os.path.join(data_dir, "sessions")
         os.makedirs(self.sessions_dir, exist_ok=True)
@@ -427,6 +452,23 @@ class DurabilityManager:
         self.sessions_recovered = 0
 
     # ------------------------------------------------------------------
+
+    def report_into(self, obs: Observability) -> None:
+        """Report into ``obs`` from now on (the owning service's bundle).
+
+        Stores capture the bundle when they are made, so a manager that
+        already has stores under another bundle cannot move: its series
+        would split between the two.
+        """
+        if obs is self.obs:
+            return
+        if self._stores:
+            raise ServiceError(
+                "durability manager already has session stores reporting "
+                "into another telemetry bundle; build it with the "
+                "service's obs"
+            )
+        self.obs = obs
 
     def store(self, session_id: str) -> SessionStore:
         store = self._stores.get(session_id)
@@ -479,8 +521,13 @@ class DurabilityManager:
             "config": _encode_config(session.config),
         })
 
+    def log_records(self, session, seq: int, records: List[Any]) -> None:
+        """WAL the batch's received records; must be called before
+        buffering/acking it."""
+        self.store(session.id).log_records(seq, records)
+
     def log_append(self, session, seq: int, ops: List[Op]) -> None:
-        """WAL the batch; must be called before buffering/acking it."""
+        """WAL a batch of decoded ops (for callers holding ``Op``s)."""
         self.store(session.id).log_append(seq, ops)
 
     def maybe_checkpoint(self, session) -> bool:
@@ -492,9 +539,14 @@ class DurabilityManager:
         return True
 
     def checkpoint(self, session) -> str:
-        """Serialize the session's full checker state now."""
+        """Serialize the session's full checker state now.
+
+        Periodic, eviction and drain checkpoints all come through here,
+        so all of them serialize with the cyclic collector paused.
+        """
         store = self.store(session.id)
-        path = store.write_checkpoint(_session_payload(session))
+        with paused_gc():
+            path = store.write_checkpoint(_session_payload(session))
         session.checkpointed_ops = session.checker.history.op_count
         self.checkpoints_written += 1
         return path

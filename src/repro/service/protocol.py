@@ -98,11 +98,11 @@ reached at all.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from ..core.incremental import StreamUpdate
 from ..errors import HistoryError, ProtocolError
-from ..history.io import decode_op, encode_op
+from ..history.io import decode_op, encode_ops
 from ..history.ops import Op
 
 #: Byte limit for one frame on the wire (and the asyncio reader limit).
@@ -155,11 +155,6 @@ def request_type(frame: Dict[str, Any]) -> str:
             f"{sorted(REQUEST_TYPES)}"
         )
     return kind
-
-
-def encode_ops(ops: Iterable[Op]) -> List[dict]:
-    """Operations as ``append``-frame records (the JSON-lines op shape)."""
-    return [encode_op(op) for op in ops]
 
 
 def decode_ops(records: Sequence[Any]) -> List[Op]:

@@ -26,12 +26,14 @@ its verdicts sees a clean EOF.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import signal
 import time
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
+from ..core.gcpause import paused_gc
 from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import Observability
 from ..obs.httpd import MetricsExporter
@@ -83,8 +85,11 @@ class CheckerService:
         #: One bundle serves the daemon: the builder passes the same
         #: ``obs`` to the registry, durability and the service (as
         #: ``python -m repro serve`` does); without one, the service
-        #: reports through its registry's.
+        #: reports through its registry's, and durability is adopted
+        #: into whichever bundle the service ends up with.
         self.obs = obs or registry.obs
+        if durability is not None:
+            durability.report_into(self.obs)
         self.metrics_host = metrics_host
         self.metrics_port = metrics_port
         self.exporter: Optional[MetricsExporter] = None
@@ -141,6 +146,11 @@ class CheckerService:
             "repro_draining",
             "1 while the daemon is draining, else 0.",
             fn=lambda: 1 if self._draining else 0,
+        )
+        metrics_registry.gauge(
+            "repro_gc_full_collections",
+            "Full (generation-2) cyclic GC collections in this process.",
+            fn=lambda: gc.get_stats()[2]["collections"],
         )
 
     def uptime_seconds(self) -> float:
@@ -428,7 +438,10 @@ class CheckerService:
     async def _reply_for(self, line: bytes) -> Dict[str, Any]:
         session_id = None
         try:
-            frame = decode_frame(line)
+            # The frame's records are ingest's first allocation: parsed
+            # with the collector paused like the rest of it (see _append).
+            with paused_gc():
+                frame = decode_frame(line)
             session_id = frame.get("session")
             return await self._dispatch(frame)
         except (ReproError, ValueError) as exc:
@@ -657,13 +670,18 @@ class CheckerService:
     async def _append(self, session, frame: Dict[str, Any]) -> Dict[str, Any]:
         obs = self.obs
         tracer = obs.tracer
-        decode_begin = perf_counter()
-        ops = decode_ops(frame.get("ops", ()))
-        # Parked on the session; the next analyzed chunk's trace carries
-        # them as spans preceding ``analyze``.
-        session.trace_spans.append(
-            tracer.span("decode", perf_counter() - decode_begin)
-        )
+        records = frame.get("ops", ())
+        # Ingest (decode here; dedupe, WAL and buffer below) allocates the
+        # session's long-lived, acyclic op objects: the cyclic collector
+        # is paused around each synchronous stretch, never across an await.
+        with paused_gc():
+            decode_begin = perf_counter()
+            ops = decode_ops(records)
+            # Parked on the session; the next analyzed chunk's trace
+            # carries them as spans preceding ``analyze``.
+            session.trace_spans.append(
+                tracer.span("decode", perf_counter() - decode_begin)
+            )
         seq = frame.get("seq")
         if seq is not None and (
             not isinstance(seq, int) or isinstance(seq, bool) or seq <= 0
@@ -714,24 +732,29 @@ class CheckerService:
                 "seq": seq,
                 "applied_seq": session.applied_seq,
             }
-        # Op-level dedupe catches the half-applied case: the server logged
-        # and buffered the batch, then died before acking.  Indices are
-        # strictly increasing across a stream, so anything at or below the
-        # high-water mark has already been accepted.
-        fresh = session.dedupe_ops(ops)
-        deduped = len(ops) - len(fresh)
-        if seq is None:
-            seq = session.applied_seq + 1
-        if self.durability is not None and fresh:
-            # WAL first, ack second: once the reply goes out the ops must
-            # survive a crash, so they hit the journal (flushed, and
-            # fsynced per policy) before they are even buffered.
-            self.durability.log_append(session, seq, fresh)
-        buffer_begin = perf_counter()
-        self.registry.append(session.id, fresh)
-        session.trace_spans.append(
-            tracer.span("buffer", perf_counter() - buffer_begin)
-        )
+        with paused_gc():
+            # Op-level dedupe catches the half-applied case: the server
+            # logged and buffered the batch, then died before acking.
+            # Indices are strictly increasing across a stream, so anything
+            # at or below the high-water mark has already been accepted.
+            fresh = session.dedupe_ops(ops)
+            deduped = len(ops) - len(fresh)
+            if seq is None:
+                seq = session.applied_seq + 1
+            if self.durability is not None and fresh:
+                # WAL first, ack second: once the reply goes out the ops
+                # must survive a crash, so they hit the journal (flushed,
+                # and fsynced per policy) before they are even buffered.
+                # The journal holds the records as received; decode_ops
+                # has just accepted every one of them.
+                self.durability.log_records(
+                    session, seq, _kept_records(records, ops, fresh)
+                )
+            buffer_begin = perf_counter()
+            self.registry.append(session.id, fresh)
+            session.trace_spans.append(
+                tracer.span("buffer", perf_counter() - buffer_begin)
+            )
         session.applied_seq = seq
         self._work.set()
         reply = {
@@ -770,6 +793,15 @@ class CheckerService:
         async with self._progress:
             while session.has_work:
                 await self._progress.wait()
+
+
+def _kept_records(records, ops, fresh) -> List[Any]:
+    """The received records behind ``fresh``, which dedupe cut from
+    ``ops`` (record ``i`` decoded to ``ops[i]``)."""
+    if len(fresh) == len(ops):
+        return records
+    kept = {id(op) for op in fresh}
+    return [record for record, op in zip(records, ops) if id(op) in kept]
 
 
 async def serve(

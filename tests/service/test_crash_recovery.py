@@ -19,6 +19,7 @@ the same property through a real ``python -m repro serve`` getting a real
 ``SIGKILL``.
 """
 
+import json
 import os
 import signal
 import socket
@@ -31,7 +32,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import History, check
+from repro.errors import ServiceError
 from repro.service import (
+    BackgroundService,
     DurabilityManager,
     ServiceClient,
     SessionRegistry,
@@ -280,6 +283,232 @@ class TestRecoveryOracle:
         assert len(recovered.checker.history.ops) == len(ops)
         update = recovered.verdict()
         assert update.result.report() == expected.report()
+
+
+def grow_set_records(ops):
+    """Wire records exercising every decode branch the journal replays.
+
+    Keys become ``{"tuple": [...]}`` tagged values, grow-set reads carry
+    ``{"set": [...]}``, and each record gains a field the decoder ignores.
+    """
+    records = []
+    for record in encode_ops(ops):
+        if record["value"] is not None:
+            record["value"] = [
+                [fn, {"tuple": ["k", key]}, value]
+                for fn, key, value in record["value"]
+            ]
+        record["node"] = f"n{record['process'] % 3}"
+        records.append(record)
+    return records
+
+
+class TestReceivedRecordJournal:
+    """The WAL journals an ``append`` frame's records as received."""
+
+    def test_wal_bytes_match_the_op_encoding_for_client_frames(
+        self, tmp_path
+    ):
+        """(a) For frames built by ``encode_ops``, journaling the received
+        records writes the bytes re-encoding the decoded ops would."""
+        ops = session_workload(txns=80, seed=6, **FAULTY)
+        batches = batches_of(ops, 45)
+        live_dir = tmp_path / "live"
+        with BackgroundService(
+            port=0, durability=DurabilityManager(str(live_dir), fsync="never")
+        ) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.open_session(session_id="wire", chunk_ops=30)
+                for index, batch in enumerate(batches):
+                    client.request({
+                        "type": "append", "session": "wire",
+                        "seq": index + 1, "ops": encode_ops(batch),
+                    })
+                client.verdict("wire")
+
+        from repro.service.session import SessionConfig
+
+        durability = DurabilityManager(str(tmp_path / "ops"), fsync="never")
+        registry = SessionRegistry()
+        session = registry.open(SessionConfig(chunk_ops=30), "wire")
+        durability.open_session(session)
+        for index, batch in enumerate(batches):
+            apply_batch(durability, registry, session, index + 1, batch)
+        durability.close()
+
+        def journal(manager):
+            with open(wal_path(manager, "wire"), "rb") as fh:
+                return fh.read()
+
+        live = journal(DurabilityManager(str(live_dir)))
+        assert live == journal(durability)
+        assert live.count(b"\n") == len(batches)
+
+    def test_tagged_values_extra_fields_and_partial_resend_replay(
+        self, tmp_path
+    ):
+        """(b) Tagged keys and set values, unknown record fields and a
+        half-deduped re-send: replayed ops equal the live ones, and the
+        recovered verdict is the batch one."""
+        ops = session_workload(workload="grow-set", txns=70, seed=2)
+        records = grow_set_records(ops)
+        cut = len(records) // 2
+        overlap = 7
+        frames = [records[:cut], records[cut - overlap:]]
+        with BackgroundService(
+            port=0, durability=DurabilityManager(str(tmp_path), fsync="never")
+        ) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.open_session(
+                    session_id="tagged", workload="grow-set", chunk_ops=25
+                )
+                replies = [
+                    client.request({
+                        "type": "append", "session": "tagged",
+                        "seq": index + 1, "ops": frame,
+                    })
+                    for index, frame in enumerate(frames)
+                ]
+                live_report = client.verdict("tagged", report=True)["report"]
+            live_ops = list(
+                bg.service.registry.sessions["tagged"].checker.history.ops
+            )
+        assert replies[1]["deduped"] == overlap
+        assert replies[1]["ops"] == len(records) - cut
+        from repro.service.protocol import decode_ops
+
+        expected_ops = decode_ops(records)
+        expected = check(History(expected_ops), workload="grow-set")
+        assert live_ops == expected_ops
+        assert live_report == expected.report()
+        assert any(
+            isinstance(mop.value, frozenset)
+            for op in live_ops if op.value
+            for mop in op.value
+        )
+
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        store = durability.store("tagged")
+        _seq, batches = store.replay_wal()
+        assert [op for _s, batch in batches for op in batch] == live_ops
+        # The journal holds the records as received, extra fields too.
+        with open(store.wal_path, "r", encoding="utf-8") as fh:
+            journaled = [
+                record
+                for line in fh
+                for record in json.loads(line)["ops"]
+            ]
+        assert journaled == records
+        # Full WAL replay (no checkpoint) reaches the batch verdict.
+        for path in store.checkpoint_paths():
+            os.unlink(path)
+        registry = SessionRegistry()
+        recovered = durability.recover_session("tagged", registry)
+        drain(durability, registry, recovered)
+        assert recovered.verdict().result.report() == expected.report()
+
+    def test_checkpoint_in_the_dataclass_state_encoding_restores(
+        self, tmp_path, monkeypatch
+    ):
+        """(c) A checkpoint whose ops were pickled as ``__newobj__`` plus
+        dataclass state (the encoding before positional ``__reduce__``)
+        restores to the batch-identical report."""
+        import copyreg
+        import io
+        import pickle
+
+        from repro.history.ops import MicroOp, Op, Transaction
+        from repro.service.session import SessionConfig
+
+        legacy_types = (MicroOp, Op, Transaction)
+
+        class StatePickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) in legacy_types:
+                    return (
+                        copyreg.__newobj__,
+                        (type(obj),),
+                        obj.__getstate__(),
+                    )
+                return NotImplemented
+
+        def legacy_dumps(obj, protocol=None):
+            buffer = io.BytesIO()
+            StatePickler(buffer, protocol).dump(obj)
+            return buffer.getvalue()
+
+        ops = session_workload(txns=60, seed=4, **FAULTY)
+        expected = check(History(ops))
+        batches = batches_of(ops, 40)
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        registry = SessionRegistry()
+        session = registry.open(SessionConfig(chunk_ops=16), "old")
+        durability.open_session(session)
+        for index, batch in enumerate(batches):
+            apply_batch(durability, registry, session, index + 1, batch)
+        drain(durability, registry, session)
+        sample = ops[0].value[0]
+        assert legacy_dumps(sample, 5) != pickle.dumps(sample, 5)
+        monkeypatch.setattr(pickle, "dumps", legacy_dumps)
+        durability.checkpoint(session)
+        monkeypatch.undo()
+        durability.close()
+
+        registry = SessionRegistry()
+        restored = DurabilityManager(
+            str(tmp_path), fsync="never"
+        ).recover_session("old", registry)
+        assert restored.backlog == 0  # the checkpoint covered every op
+        assert restored.checker.history.ops == session.checker.history.ops
+        assert restored.verdict().result.report() == expected.report()
+
+    def test_collector_reenabled_after_failed_wal_write_and_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """(d) A failure inside a paused ingest or checkpoint leaves the
+        cyclic collector enabled."""
+        import gc
+        import pickle
+
+        from repro.service.durability import SessionStore
+        from repro.service.session import SessionConfig
+
+        assert gc.isenabled()
+        ops = session_workload(txns=30, seed=1)
+
+        def broken_wal(self, seq, records):
+            raise OSError("disk full")
+
+        with BackgroundService(
+            port=0, durability=DurabilityManager(str(tmp_path), fsync="never")
+        ) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.open_session(session_id="gc", chunk_ops=25)
+                client.append("gc", ops[:20])
+                client.verdict("gc")  # quiescent: no analysis in flight
+                monkeypatch.setattr(SessionStore, "log_records", broken_wal)
+                with pytest.raises(ServiceError, match="disk full"):
+                    client.request({
+                        "type": "append", "session": "gc", "seq": 2,
+                        "ops": encode_ops(ops[20:]),
+                    })
+                assert gc.isenabled()
+                monkeypatch.undo()
+
+        def broken_dumps(obj, protocol=None):
+            raise pickle.PicklingError("unpicklable")
+
+        durability = DurabilityManager(str(tmp_path / "ckpt"), fsync="never")
+        registry = SessionRegistry()
+        session = registry.open(SessionConfig(chunk_ops=25), "gc")
+        durability.open_session(session)
+        apply_batch(durability, registry, session, 1, ops)
+        drain(durability, registry, session)
+        monkeypatch.setattr(pickle, "dumps", broken_dumps)
+        with pytest.raises(pickle.PicklingError):
+            durability.checkpoint(session)
+        assert gc.isenabled()
+        durability.close()
 
 
 def free_port():

@@ -209,6 +209,64 @@ class TestWireAndStats:
         assert total("repro_chunks_checked_total") > 0
         assert total("repro_wal_appends_total") > 0
 
+    def test_durability_built_apart_reports_into_the_service_bundle(
+        self, tmp_path
+    ):
+        # A manager built without ``obs`` is adopted into the daemon's
+        # bundle, so its WAL counter shows in the service's reply.
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        with BackgroundService(port=0, durability=durability) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.open_session(session_id="parts", chunk_ops=50)
+                client.append("parts", session_workload(txns=30, seed=4))
+                client.verdict("parts")
+                reply = client.request({"type": "metrics"})
+        samples = reply["families"]["repro_wal_appends_total"]["samples"]
+        assert samples[0]["value"] > 0
+        assert durability.obs is bg.service.obs
+        assert reply["families"]["repro_gc_full_collections"]["value"] >= 0
+
+    def test_durability_with_stores_under_another_bundle_is_refused(
+        self, tmp_path
+    ):
+        from repro.errors import ServiceError
+        from repro.service import CheckerService
+
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        durability.store("already")
+        with pytest.raises(ServiceError, match="telemetry bundle"):
+            CheckerService(port=0, durability=durability, obs=Observability())
+
+    def test_checkpoint_seconds_time_the_whole_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # Pickling is most of a checkpoint; the histogram must see it.
+        import pickle
+        import time
+
+        from repro.service.session import SessionConfig, SessionRegistry
+
+        obs = Observability()
+        durability = DurabilityManager(str(tmp_path), fsync="never", obs=obs)
+        registry = SessionRegistry(obs=obs)
+        session = registry.open(SessionConfig(chunk_ops=50), "slow")
+        durability.open_session(session)
+        registry.append("slow", session_workload(txns=20, seed=1))
+        while registry.has_work():
+            registry.run_slice()
+        real_dumps = pickle.dumps
+
+        def slow_dumps(*args, **kwargs):
+            time.sleep(0.05)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", slow_dumps)
+        durability.checkpoint(session)
+        histogram = obs.metrics.checkpoint_seconds.labels()
+        assert histogram.count == 1
+        assert histogram.total >= 0.05
+        assert "repro_checkpoint_seconds_sum" in obs.registry.expose()
+
     def test_stats_carry_uptime_and_latency_digest(self):
         obs = Observability()
         with BackgroundService(port=0, obs=obs, metrics_port=0) as bg:
